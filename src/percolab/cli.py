@@ -9,6 +9,7 @@ import argparse
 import sys
 
 from .errors import InvalidConfigError, NumericalFailureError
+from .processes import ENGINES
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -39,7 +40,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="comma list of record times (default: end time only)")
     p_sim.add_argument("--no-loops", action="store_true",
                        help="resample proposals containing loops")
-    p_sim.add_argument("--engine", choices=["auto", "numba", "python"], default="auto")
+    p_sim.add_argument("--engine", choices=ENGINES, default="auto",
+                       help="auto: batch engine; python: scalar reference (default auto)")
 
     p_fp = sub.add_parser(
         "fixed-point",

@@ -21,6 +21,7 @@ from .giant import bf_growth_prediction, solve_rho, supercritical_bounds
 from .ledger import SizeDistribution
 from .ode import critical_trajectory, find_tc, sbar_k
 from .processes import (
+    ENGINES,
     InitialGraphSpec,
     ProcessKind,
     Simulation,
@@ -178,7 +179,7 @@ class ExperimentConfig:
         if self.experiment == "moments" and self.process not in ("", "bf"):
             raise InvalidConfigError("moment convergence is defined for the bf process")
         InitialGraphSpec.parse(self.initial)
-        if self.engine not in ("auto", "numba", "python"):
+        if self.engine not in ENGINES:
             raise InvalidConfigError(f"unknown engine {self.engine!r}")
 
     def to_dict(self) -> dict:
@@ -657,18 +658,12 @@ def write_meta(csv_path: str, cfg: ExperimentConfig, elapsed: float,
     import numpy
     import scipy
 
-    try:
-        import numba
-        numba_version = numba.__version__
-    except ImportError:  # pragma: no cover
-        numba_version = None
     meta = {
         "created_utc": _dt.datetime.now(_dt.timezone.utc).isoformat(),
         "elapsed_seconds": round(elapsed, 3),
         "versions": {
             "numpy": numpy.__version__,
             "scipy": scipy.__version__,
-            "numba": numba_version,
         },
         "config": cfg.to_dict(),
         "checks": [

@@ -1,10 +1,16 @@
 """Evolving random-graph processes over the component ledger.
 
-A Simulation owns one forest, one seeded generator and one process
-rule. Randomness is drawn in fixed-size chunks of uniform vertex
-proposals at the Python level; both the compiled and the pure-Python
-engine consume the identical stream row by row, so traces match
+A Simulation owns one seeded generator and one process rule. Randomness
+is drawn in fixed-size chunks of uniform vertex proposals at the Python
+level, and both engines consume the identical stream, so traces match
 exactly across engines for a given seed.
+
+engine='python' is the scalar reference: it walks the rows one by one
+through a union-find forest with an exact moment ledger. engine='auto'
+decides whole slices of rows with numpy, buffers the inserted edges and
+folds them into component labels with one connected-components pass
+per snapshot. The product rule's choice depends on component sizes, so
+it always takes the scalar path.
 
 Process time follows t = 2m/n where m counts attempted insertions
 (rounds for the two-choice rules), with m = floor(n*t/2) at the end
@@ -17,8 +23,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
-from . import _kernels
 from .errors import InvalidConfigError
 from .ledger import (
     DisjointSetForest,
@@ -31,6 +38,7 @@ from .ledger import (
 )
 
 __all__ = [
+    "ENGINES",
     "ProcessKind",
     "InitialGraphSpec",
     "TraceRecord",
@@ -45,6 +53,7 @@ __all__ = [
 ]
 
 CHUNK = 1 << 18  # proposal rows drawn per generator call
+ENGINES = ("auto", "python")
 
 
 class ProcessKind(enum.Enum):
@@ -206,15 +215,17 @@ class Snapshot:
 class Simulation:
     """One evolving graph under one process rule.
 
-    engine='numba' runs the compiled kernels, engine='python' the pure
-    ledger path, engine='auto' picks numba when available. Both consume
-    the same proposal stream, so results are engine-independent.
+    engine='auto' runs the batch engine (the product rule excepted),
+    engine='python' the scalar reference. Both consume the same
+    proposal stream, so results are engine-independent.
     """
 
     def __init__(self, kind: ProcessKind, n: int, initial: InitialGraphSpec | str | None = None,
                  seed: int = 0, loops: bool = True, engine: str = "auto"):
         if n < 2:
             raise InvalidConfigError("n must be >= 2")
+        if engine not in ENGINES:
+            raise InvalidConfigError(f"unknown engine {engine!r}")
         if isinstance(initial, str):
             initial = InitialGraphSpec.parse(initial)
         self.initial = initial or InitialGraphSpec()
@@ -223,69 +234,53 @@ class Simulation:
         self.n = n
         self.seed = seed
         self.loops = loops
-        if engine == "auto":
-            engine = "numba" if _kernels.HAVE_NUMBA else "python"
-        if engine == "numba" and not _kernels.HAVE_NUMBA:
-            raise InvalidConfigError("numba engine requested but numba is unavailable")
-        if engine not in ("numba", "python"):
-            raise InvalidConfigError(f"unknown engine {engine!r}")
         self.engine = engine
         self.rng = np.random.default_rng(seed)
         self.m = 0  # attempted insertions of the main process
         self.extra_attempts = 0  # continuation edges added on top
+        self.e1_rounds = 0  # rounds in which the first offered edge was chosen
+        self.blocks = 0  # speculative bf blocks decided by the batch engine
         self._buf: np.ndarray | None = None
         self._pos = 0
         self._cols = 4 if kind.two_choice else 2
-        if engine == "numba":
-            self._init_arrays()
+        # without replacement the main process can insert each free pair once
+        self._free_pairs = None
+        if kind is ProcessKind.ER_WITHOUT_REPLACEMENT:
+            initial_edges = sum((s - 1) * c for s, c in self.initial.parts)
+            self._free_pairs = n * (n - 1) // 2 - initial_edges
+        self._batch = engine == "auto" and kind is not ProcessKind.PRODUCT_RULE
+        if self._batch:
+            self._init_batch()
         else:
-            self._init_python()
+            self._init_scalar()
 
     # -- construction ---------------------------------------------------
 
-    def _init_python(self) -> None:
+    def _init_scalar(self) -> None:
         self.forest, self.ledger = ledger_init(self.n)
-        self._e1_rounds = 0
-        self._seen: set[int] | None = None
         build_initial_graph(self.initial, self.n, self.forest, self.ledger)
+        self._seen: set[int] | None = None
         if self.kind is ProcessKind.ER_WITHOUT_REPLACEMENT:
             self._seen = {u * self.n + v for u, v in self.initial.path_edges()}
 
-    def _init_arrays(self) -> None:
+    def _init_batch(self) -> None:
         n = self.n
-        self.parent = np.arange(n, dtype=np.int64)
-        self.size = np.ones(n, dtype=np.int64)
-        self.state = np.zeros(3, dtype=np.int64)
-        offset = 0
-        c1 = 1
-        covered = 0
-        for s, c in self.initial.parts:
-            if s > 1:
-                starts = offset + s * np.arange(c, dtype=np.int64)
-                idx = np.arange(offset, offset + s * c, dtype=np.int64)
-                self.parent[idx] = np.repeat(starts, s)
-                self.size[starts] = s
-                covered += s * c
-                c1 = max(c1, s)
-            offset += s * c
-        self.state[_kernels.STATE_N1] = n - covered
-        self.state[_kernels.STATE_C1] = c1
-        self._table: np.ndarray | None = None
-        self._table_entries = 0
+        lo = np.fromiter((u for u, _ in self.initial.path_edges()), dtype=np.int64)
+        self._labels = np.arange(n, dtype=np.int64)  # component index per vertex
+        self._ncomp = n
+        self._pending: list[tuple[np.ndarray, np.ndarray]] = []  # edges not yet in labels
+        self._iso = np.ones(n, dtype=bool)
+        self._insert(lo, lo + 1)
         if self.kind is ProcessKind.ER_WITHOUT_REPLACEMENT:
-            keys = np.fromiter(
-                (u * n + v for u, v in self.initial.path_edges()), dtype=np.int64
-            )
-            self._grow_table(max(64, 2 * len(keys) + 1024))
-            _kernels.table_fill(self._table, keys)
-            self._table_entries = len(keys)
-
-    def _grow_table(self, min_entries: int) -> None:
-        cap = 1 << max(6, (2 * min_entries - 1).bit_length())
-        new = np.full(cap, -1, dtype=np.int64)
-        if self._table is not None:
-            _kernels.table_fill(new, self._table[self._table != -1])
-        self._table = new
+            # sorted keys u*n+v (u < v) of the edges present, closed by n*n,
+            # which is above every key, so a lookup never runs off the end
+            self._keys = np.append(lo * n + lo + 1, n * n)
+        if self.kind is ProcessKind.BOUNDED_SIZE:
+            # A bf block is decided on the isolation bitmap at its start. A block
+            # of L rows is cut with probability of order L*L/n, so about
+            # 0.7*sqrt(n) rows keeps cuts rare and the per-block overhead small.
+            self._block = max(2, int(0.7 * math.sqrt(n)))
+            self._stamp = np.full(n, self._block, dtype=np.int64)
 
     # -- proposal stream -------------------------------------------------
 
@@ -298,94 +293,22 @@ class Simulation:
 
     # -- main process ----------------------------------------------------
 
-    @property
-    def e1_rounds(self) -> int:
-        """Rounds in which the first offered edge was chosen."""
-        if self.engine == "numba":
-            return int(self.state[_kernels.STATE_E1])
-        return self._e1_rounds
+    def _check_target(self, m_target: int) -> None:
+        if self._free_pairs is not None and m_target > self._free_pairs:
+            raise InvalidConfigError(
+                f"er on n={self.n} has {self._free_pairs} vertex pairs free of initial "
+                f"edges, fewer than the {m_target} insertions asked for"
+            )
 
     def advance_to(self, m_target: int) -> None:
         """Consume proposals until m_target insertions have been attempted."""
         if m_target < self.m:
             raise InvalidConfigError("cannot rewind a simulation")
+        self._check_target(m_target)
         cols = 4 if self.kind.two_choice else 2
         while self.m < m_target:
             self._refill(cols)
-            need = m_target - self.m
-            if self.engine == "numba":
-                done, pos = self._consume_numba(need)
-            else:
-                done, pos = self._consume_python(self._buf, self._pos, need)
-            self.m += done
-            self._pos = pos
-
-    def _consume_numba(self, need: int) -> tuple[int, int]:
-        kind = self.kind
-        if kind is ProcessKind.BOUNDED_SIZE:
-            return _kernels.bf_chunk(
-                self.parent, self.size, self._buf, self._pos, need, self.loops, self.state
-            )
-        if kind is ProcessKind.PRODUCT_RULE:
-            return _kernels.product_chunk(
-                self.parent, self.size, self._buf, self._pos, need, self.loops, self.state
-            )
-        if kind is ProcessKind.ER_WITHOUT_REPLACEMENT:
-            if (self._table_entries + need) * 2 > len(self._table):
-                self._grow_table(self._table_entries + need)
-            done, pos = _kernels.er_norep_chunk(
-                self.parent, self.size, self._buf, self._pos, need, self.state,
-                self._table, self.n,
-            )
-            self._table_entries += done
-            return done, pos
-        return _kernels.er_wr_chunk(
-            self.parent, self.size, self._buf, self._pos, need, self.state
-        )
-
-    def _consume_python(self, buf: np.ndarray, pos: int, need: int) -> tuple[int, int]:
-        rows = buf.tolist()
-        done = 0
-        if self.kind.two_choice:
-            is_bf = self.kind is ProcessKind.BOUNDED_SIZE
-            while done < need and pos < len(rows):
-                v1, w1, v2, w2 = rows[pos]
-                pos += 1
-                if not self.loops and (v1 == w1 or v2 == w2):
-                    continue
-                done += 1
-                if is_bf:
-                    first = (
-                        self.forest.comp_size[self.forest.find(v1)] == 1
-                        and self.forest.comp_size[self.forest.find(w1)] == 1
-                    )
-                else:
-                    p1 = (self.forest.comp_size[self.forest.find(v1)]
-                          * self.forest.comp_size[self.forest.find(w1)])
-                    p2 = (self.forest.comp_size[self.forest.find(v2)]
-                          * self.forest.comp_size[self.forest.find(w2)])
-                    first = p1 >= p2
-                if first:
-                    self._e1_rounds += 1
-                    add_edge(self.forest, self.ledger, v1, w1)
-                else:
-                    add_edge(self.forest, self.ledger, v2, w2)
-        else:
-            norep = (self.kind is ProcessKind.ER_WITHOUT_REPLACEMENT
-                     and self._seen is not None)
-            while done < need and pos < len(rows):
-                u, v = rows[pos]
-                pos += 1
-                if u == v:
-                    continue
-                if norep:
-                    key = u * self.n + v if u < v else v * self.n + u
-                    if key in self._seen:
-                        continue
-                    self._seen.add(key)
-                done += 1
-                add_edge(self.forest, self.ledger, u, v)
-        return done, pos
+            self.m += self._consume(self.kind, m_target - self.m)
 
     def add_er_edges(self, count: int) -> None:
         """Attempt `count` uniform with-replacement edges on the current graph.
@@ -394,27 +317,153 @@ class Simulation:
         extra_attempts, not in the main process clock m.
         """
         left = int(count)
-        saved_kind = self.kind
-        try:
-            self.kind = ProcessKind.ER_WITH_REPLACEMENT
-            while left > 0:
-                self._refill(2)
-                if self.engine == "numba":
-                    done, pos = _kernels.er_wr_chunk(
-                        self.parent, self.size, self._buf, self._pos, left, self.state
-                    )
-                else:
-                    done, pos = self._consume_python(self._buf, self._pos, left)
-                left -= done
-                self._pos = pos
-                self.extra_attempts += done
-        finally:
-            self.kind = saved_kind
+        while left > 0:
+            self._refill(2)
+            done = self._consume(ProcessKind.ER_WITH_REPLACEMENT, left)
+            left -= done
+            self.extra_attempts += done
+
+    def _consume(self, kind: ProcessKind, need: int) -> int:
+        """Attempt up to `need` insertions from the buffered chunk; returns
+        the number attempted. Every engine consumes exactly the rows the
+        scalar loop would."""
+        if not self._batch:
+            return self._consume_python(kind, need)
+        if kind is ProcessKind.BOUNDED_SIZE:
+            return self._consume_bf(need)
+        return self._consume_uniform(need, kind is ProcessKind.ER_WITHOUT_REPLACEMENT)
+
+    def _consume_python(self, kind: ProcessKind, need: int) -> int:
+        forest, ledger = self.forest, self.ledger
+        find, size = forest.find, forest.comp_size
+        seen = self._seen if kind is ProcessKind.ER_WITHOUT_REPLACEMENT else None
+        is_bf = kind is ProcessKind.BOUNDED_SIZE
+        done = 0
+        while done < need and self._pos < len(self._buf):
+            # a slice of need - done rows holds at most that many insertions,
+            # so converting it never runs past the rows the loop consumes
+            rows = self._buf[self._pos:self._pos + need - done].tolist()
+            self._pos += len(rows)
+            if kind.two_choice:
+                for v1, w1, v2, w2 in rows:
+                    if not self.loops and (v1 == w1 or v2 == w2):
+                        continue
+                    done += 1
+                    if is_bf:
+                        first = size[find(v1)] == 1 and size[find(w1)] == 1
+                    else:
+                        first = size[find(v1)] * size[find(w1)] >= size[find(v2)] * size[find(w2)]
+                    if first:
+                        self.e1_rounds += 1
+                        add_edge(forest, ledger, v1, w1)
+                    else:
+                        add_edge(forest, ledger, v2, w2)
+            else:
+                for u, v in rows:
+                    if u == v:
+                        continue
+                    if seen is not None:
+                        key = u * self.n + v if u < v else v * self.n + u
+                        if key in seen:
+                            continue
+                        seen.add(key)
+                    done += 1
+                    add_edge(forest, ledger, u, v)
+        return done
+
+    # -- batch engine ----------------------------------------------------
+
+    def _insert(self, u: np.ndarray, v: np.ndarray) -> None:
+        """Buffer loop-free edges for the next snapshot and mark their ends."""
+        if len(u):
+            self._pending.append((u, v))
+            self._iso[u] = False
+            self._iso[v] = False
+
+    def _consume_uniform(self, need: int, norep: bool) -> int:
+        # need rows hold at most need insertions: the whole slice is consumed
+        rows = self._buf[self._pos:self._pos + need]
+        self._pos += len(rows)
+        u, v = rows[:, 0], rows[:, 1]
+        take = u != v
+        if norep:
+            keys = np.minimum(u, v) * self.n + np.maximum(u, v)
+            first = np.zeros(len(keys), dtype=bool)
+            first[np.unique(keys, return_index=True)[1]] = True
+            present = self._keys[np.searchsorted(self._keys, keys)] == keys
+            take &= first & ~present
+            self._keys = np.sort(np.concatenate((self._keys, keys[take])), kind="stable")
+        self._insert(u[take], v[take])
+        return int(np.count_nonzero(take))
+
+    def _consume_bf(self, need: int) -> int:
+        """One speculative block of bf rounds.
+
+        Every round is decided on the isolation bitmap at block start.
+        Isolation only ever ends, so a round can be decided wrongly only
+        when it takes the first edge although v1 or w1 was joined by an
+        earlier round of the same block. The block is cut before the
+        first such round; every round before it is exact.
+        """
+        rows = self._buf[self._pos:self._pos + min(need, self._block)]
+        span = len(rows)
+        at = None
+        if not self.loops:
+            at = np.flatnonzero((rows[:, 0] != rows[:, 1]) & (rows[:, 2] != rows[:, 3]))
+            rows = rows[at]
+        v1, w1 = rows[:, 0], rows[:, 1]
+        first = self._iso[v1] & self._iso[w1]
+        a = np.where(first, v1, rows[:, 2])
+        b = np.where(first, w1, rows[:, 3])
+        real = a != b
+        cut = len(rows)
+        asked = np.flatnonzero(first)
+        if len(asked) and asked[-1] > 0:
+            when = np.flatnonzero(real)
+            ends = np.concatenate((a[when], b[when]))
+            stamp = self._stamp  # earliest round of the block joining each vertex
+            np.minimum.at(stamp, ends, np.concatenate((when, when)))
+            stale = (stamp[v1[asked]] < asked) | (stamp[w1[asked]] < asked)
+            stamp[ends] = self._block
+            if stale.any():
+                cut = int(asked[np.argmax(stale)])
+        self.e1_rounds += int(np.count_nonzero(first[:cut]))
+        keep = real[:cut]
+        self._insert(a[:cut][keep], b[:cut][keep])
+        self.blocks += 1
+        if cut == len(rows):
+            self._pos += span
+        else:
+            self._pos += cut if at is None else int(at[cut])
+        return cut
+
+    def _merge_pending(self) -> None:
+        """Fold the buffered edges into the component labels."""
+        if not self._pending:
+            return
+        u = np.concatenate([p[0] for p in self._pending])
+        v = np.concatenate([p[1] for p in self._pending])
+        self._pending = []
+        k = self._ncomp
+        graph = coo_matrix(
+            (np.ones(len(u), dtype=bool), (self._labels[u], self._labels[v])), shape=(k, k)
+        )
+        self._ncomp, merged = connected_components(graph, directed=True, connection="weak")
+        self._labels = merged[self._labels]
 
     # -- observation -----------------------------------------------------
 
     def snapshot(self) -> Snapshot:
-        if self.engine == "python":
+        if self._batch:
+            self._merge_pending()
+            counts = np.bincount(np.bincount(self._labels, minlength=self._ncomp))
+            sizes = np.flatnonzero(counts)
+            dist = SizeDistribution(dict(zip(sizes.tolist(), counts[sizes].tolist())))
+            sums = tuple(dist.power_sum(k) for k in (1, 2, 3, 4))
+            c1, c2, n1 = dist.c1, dist.c2, dist.n1
+            if sums[0] != self.n or n1 != int(np.count_nonzero(self._iso)):
+                raise AssertionError("component labels and isolation bitmap disagree")
+        else:
             dist = snapshot_distribution(self.forest)
             sums = tuple(dist.power_sum(k) for k in (1, 2, 3, 4))
             if list(sums) != self.ledger.s_sums:
@@ -422,21 +471,6 @@ class Simulation:
             c1, c2, n1 = dist.c1, dist.c2, dist.n1
             if (c1, n1) != (self.ledger.c1_size, self.ledger.n1_isolated):
                 raise AssertionError("ledger extremes and histogram disagree")
-        else:
-            parent = self.parent.copy()
-            _kernels.compress_all(parent)
-            counts = np.bincount(parent, minlength=self.n)
-            sizes = counts[counts > 0]
-            hist_sizes, hist_counts = np.unique(sizes, return_counts=True)
-            dist = SizeDistribution(
-                {int(s): int(c) for s, c in zip(hist_sizes, hist_counts)}
-            )
-            sums = tuple(dist.power_sum(k) for k in (1, 2, 3, 4))
-            c1, c2, n1 = dist.c1, dist.c2, dist.n1
-            if c1 != int(self.state[_kernels.STATE_C1]) or n1 != int(
-                self.state[_kernels.STATE_N1]
-            ):
-                raise AssertionError("kernel state and histogram disagree")
         return Snapshot(m=self.m, dist=dist, s_sums=sums, c1=c1, c2=c2, n1=n1)
 
 
@@ -477,6 +511,7 @@ def run_process(kind: ProcessKind | str, n: int, initial: InitialGraphSpec | str
             sim.advance_to(m_cum)
     else:
         m_end = int(math.floor(n * t_end / 2))
+        sim._check_target(m_end)
         for t in record_at:
             m_i = _snap_index(n, t, m_end)
             sim.advance_to(m_i)

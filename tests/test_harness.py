@@ -60,6 +60,7 @@ def test_config_from_dict_requires_experiment_and_n():
     {"experiment": "giant", "t_grid": [1.5], "process": "warp"},
     {"experiment": "giant", "t_grid": [1.5], "initial": "3:"},
     {"experiment": "giant", "t_grid": [1.5], "engine": "turbo"},
+    {"experiment": "giant", "t_grid": [1.5], "engine": "numba"},
 ])
 def test_config_validate_rejects(patch):
     base = {"experiment": "moments", "n": 1000, "t_grid": [0.5]}
@@ -212,6 +213,15 @@ def test_cli_usage_errors_exit_2():
     assert cli("simulate", "--process", "warp", "--n", "10",
                "--t", "1", "--seed", "1").returncode == 2
     assert cli("bogus-subcommand").returncode == 2
+
+
+def test_cli_simulate_rejects_numba_engine_and_er_beyond_complete_graph():
+    assert cli("simulate", "--process", "bf", "--n", "10", "--t", "1",
+               "--seed", "1", "--engine", "numba").returncode == 2
+    # n=5 at t=5 asks for 12 distinct edges; the complete graph has 10
+    proc = cli("simulate", "--process", "er", "--n", "5", "--t", "5", "--seed", "1")
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr
 
 
 def test_cli_experiment_creates_output_directory(tmp_path):

@@ -1,9 +1,14 @@
-"""Process semantics: rule choices, stream determinism, engine parity, limits."""
+"""Process semantics: rule choices, stream determinism, engine parity, golden
+rows, limits."""
 
 import math
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 import percolab
@@ -20,7 +25,8 @@ from percolab import (
     product_rule_step,
     run_process,
 )
-from percolab import _kernels
+from percolab import processes
+from percolab.harness import ExperimentConfig, ResultRow, run_experiment
 
 ALL_KINDS = list(ProcessKind)
 
@@ -170,6 +176,21 @@ def test_er_without_replacement_fills_complete_graph():
         assert recs[0].s2 == pytest.approx(5.0)
 
 
+@pytest.mark.parametrize("engine", ["auto", "python"])
+def test_er_without_replacement_rejects_more_edges_than_free_pairs(engine):
+    # t=5 at n=5 asks for 12 distinct edges; the complete graph has 10
+    with pytest.raises(InvalidConfigError):
+        run_process("er", 5, t_end=5.0, seed=0, engine=engine)
+    # two initial pairs leave 8 free pairs: t=3.2 (8 edges) fits, t=3.6 (9) does not
+    recs = run_process("er", 5, initial="2:2", t_end=3.2, record_at=(3.2,), engine=engine)
+    assert recs[0].s2 == pytest.approx(5.0)
+    with pytest.raises(InvalidConfigError):
+        run_process("er", 5, initial="2:2", t_end=3.6, engine=engine)
+    sim = Simulation(ProcessKind.ER_WITHOUT_REPLACEMENT, 5, engine=engine)
+    with pytest.raises(InvalidConfigError):
+        sim.advance_to(11)
+
+
 def test_two_vertex_er():
     recs = run_process("er", 2, t_end=1.0, record_at=(1.0,), seed=1)
     assert recs[0].c1_frac == 1.0
@@ -193,30 +214,127 @@ def test_poisson_edge_count_moments():
     assert np.var(draws) == pytest.approx(want, rel=0.15)
 
 
-@pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba not installed")
+def stream_trace(kind, n, initial="", loops=True, seed=0, engine="auto",
+                 schedule=(), extra=0):
+    """Everything a Simulation exposes after a schedule of advances and
+    snapshots, then an optional continuation: the snapshots, the
+    first-edge count, both clocks and the generator state."""
+    sim = Simulation(ProcessKind.from_token(kind), n, initial=initial, seed=seed,
+                     loops=loops, engine=engine)
+    snaps = []
+    for m in schedule:
+        sim.advance_to(m)
+        snaps.append(sim.snapshot())
+    if extra:
+        sim.add_er_edges(extra)
+        snaps.append(sim.snapshot())
+    return (snaps, sim.e1_rounds, sim.m, sim.extra_attempts, sim._pos,
+            sim.rng.bit_generator.state)
+
+
 @pytest.mark.parametrize("kind", [k.value for k in ALL_KINDS])
 @pytest.mark.parametrize("loops", [True, False])
 def test_engine_parity(kind, loops):
-    """Compiled and interpreted engines must consume the identical stream and
-    produce identical snapshots, including with an initial graph."""
+    """The batch and scalar engines must consume the identical stream and
+    produce identical snapshots and first-edge counts, including with an
+    initial graph."""
     initial = "3:5,2:10"
     kwargs = dict(n=3000, initial=initial, t_end=1.2, record_at=(0.6, 1.2),
                   seed=11, loops=loops)
-    fast = run_process(kind, engine="numba", **kwargs)
+    fast = run_process(kind, engine="auto", **kwargs)
     slow = run_process(kind, engine="python", **kwargs)
     assert fast == slow
+    sched = dict(kind=kind, n=3000, initial=initial, loops=loops, seed=11,
+                 schedule=(0, 900, 1800))
+    assert stream_trace(engine="auto", **sched) == stream_trace(engine="python", **sched)
 
 
-@pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba not installed")
 def test_engine_parity_two_phase_continuation():
     sims = []
-    for engine in ("numba", "python"):
+    for engine in ("auto", "python"):
         sim = Simulation(ProcessKind.BOUNDED_SIZE, 2000, seed=5, engine=engine)
         sim.advance_to(900)
         sim.add_er_edges(150)
-        sims.append(sim.snapshot())
-    assert sims[0].s_sums == sims[1].s_sums
-    assert sims[0].c1 == sims[1].c1
+        sims.append((sim.snapshot(), sim.e1_rounds, sim.rng.bit_generator.state))
+    assert sims[0] == sims[1]
+
+
+def test_er_engine_parity_near_the_complete_graph():
+    """At n=40 most of the 780 pairs get used, so proposals repeat present
+    edges and each other within one slice."""
+    for seed in range(3):
+        sched = dict(kind="er", n=40, initial="3:4", seed=seed, schedule=(300, 700, 772))
+        assert stream_trace(engine="auto", **sched) == stream_trace(engine="python", **sched)
+
+
+def test_engine_parity_across_a_chunk_boundary():
+    """Records on both sides of the end of the first chunk, with loop rows
+    skipped (so rounds and rows drift apart), then a continuation."""
+    chunk = processes.CHUNK
+    sched = dict(kind="bf", n=1000, loops=False, seed=3,
+                 schedule=(chunk - 700, chunk + 500), extra=2000)
+    assert stream_trace(engine="auto", **sched) == stream_trace(engine="python", **sched)
+
+
+def test_bf_batch_parity_when_blocks_are_cut_every_round():
+    """Each round offers as first edge a vertex that the round before it
+    joined, so every speculative block is cut after one round; the scalar
+    engine fed the same rows must agree."""
+    rows, prev, fresh = [(0, 1, 2, 3)], 1, 4
+    for _ in range(39):
+        rows.append((prev, fresh, fresh + 1, fresh + 2))
+        prev, fresh = fresh + 1, fresh + 3
+    sims = []
+    for engine in ("auto", "python"):
+        sim = Simulation(ProcessKind.BOUNDED_SIZE, fresh, engine=engine)
+        sim._buf = np.array(rows, dtype=np.int64)  # stands in for the drawn chunk
+        sim.advance_to(len(rows))
+        sims.append(sim)
+    batch, scalar = ((s.snapshot(), s.e1_rounds, s._pos) for s in sims)
+    assert batch == scalar
+    assert batch[1] == 1  # only round 0 took its first edge
+    assert sims[0].blocks == len(rows)
+
+
+def test_batch_snapshot_checks_itself():
+    sim = Simulation(ProcessKind.ER_WITH_REPLACEMENT, 100, seed=1)
+    sim.advance_to(30)
+    sim._iso[np.flatnonzero(~sim._iso)[0]] = True  # forget that one vertex was joined
+    with pytest.raises(AssertionError):
+        sim.snapshot()
+
+
+@st.composite
+def parity_cases(draw):
+    n = draw(st.integers(2, 3000))
+    kind = draw(st.sampled_from([k.value for k in ALL_KINDS]))
+    parts, left = [], n
+    for _ in range(draw(st.integers(0, 3))):
+        size = draw(st.integers(1, max(1, min(left, 6))))
+        if size > left:
+            break
+        count = draw(st.integers(1, left // size))
+        parts.append(f"{size}:{count}")
+        left -= size * count
+    initial = ",".join(parts)
+    spec = InitialGraphSpec.parse(initial)
+    cap = 3 * n
+    if kind == "er":
+        cap = min(cap, n * (n - 1) // 2 - sum((s - 1) * c for s, c in spec.parts))
+    schedule = sorted(draw(st.lists(st.integers(0, cap), max_size=4)))
+    extra = draw(st.integers(0, n))
+    chunk = draw(st.sampled_from([processes.CHUNK, 1, 7, 64]))
+    return dict(kind=kind, n=n, initial=initial, loops=draw(st.booleans()),
+                seed=draw(st.integers(0, 2**32)), schedule=schedule, extra=extra), chunk
+
+
+@given(parity_cases())
+def test_engine_parity_property(case):
+    """Batch equals scalar for any n, rule, loop mode, initial graph, record
+    schedule, continuation and chunk length."""
+    sched, chunk = case
+    with mock.patch.object(processes, "CHUNK", chunk):
+        assert stream_trace(engine="auto", **sched) == stream_trace(engine="python", **sched)
 
 
 def test_add_er_edges_does_not_touch_e1_count():
@@ -270,3 +388,39 @@ def test_poissonized_er_susceptibility():
     recs = run_process("er-poisson", 200000, t_end=0.5, record_at=(0.5,), seed=2)
     assert recs[0].s2 == pytest.approx(2.0, rel=0.02)
     assert recs[0].t == 0.5  # poissonized runs report the requested time
+
+
+# ---------------------------------------------------------------------------
+# stream contract: rows of the committed golden results, cell for cell
+
+RESULTS = Path(__file__).resolve().parents[1] / "scripts" / "results"
+
+
+def golden_lines(name, keep):
+    lines = (RESULTS / name).read_text().splitlines()[1:]
+    return [line for line in lines if keep(line.split(","))]
+
+
+def test_golden_moments_rows():
+    """Replicates 0 and 1 (seeds 42 and 43) of the shipped moments config."""
+    cfg = ExperimentConfig.from_dict({
+        "experiment": "moments", "n": 1_000_000, "replicates": 2, "seed": 42,
+        "t_grid": [0.25, 0.5, 0.75, 1.0],
+    })
+    rows = [r for r in run_experiment(cfg).rows if r.run_id != "mean"]
+    got = [",".join(r.csv_cells()) for r in rows]
+    assert got == golden_lines("moments.csv", lambda c: c[1] in ("0", "1"))
+
+
+def test_golden_variant_agreement_rows():
+    """Replicate 0 of each variant of the shipped variant_agreement config
+    (10 replicates per variant, so seeds 42 ^ 0, 42 ^ 10 and 42 ^ 20)."""
+    got = []
+    for vi, kind in enumerate(("er", "er-wr", "er-poisson")):
+        seed = 42 ^ (vi * 10)
+        recs = run_process(kind, 1_000_000, t_end=0.9, record_at=(0.5, 0.9), seed=seed)
+        for t, rec in zip((0.5, 0.9), recs):
+            row = ResultRow("variant_agreement", "0", seed, 1_000_000, kind, t, None,
+                            "s2", rec.s2, 1.0 / (1.0 - t), "closed_form")
+            got.append(",".join(row.csv_cells()))
+    assert got == golden_lines("variant_agreement.csv", lambda c: c[1] == "0")
