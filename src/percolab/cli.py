@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 invalid configuration or arguments,
-3 numerical failure, 4 threshold violation under --check.
+3 numerical failure, 4 threshold violation under --check (or no check
+emitted at all).
 """
 from __future__ import annotations
 
@@ -56,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exp = sub.add_parser("experiment", help="run a configured experiment to CSV")
     p_exp.add_argument("--config", required=True, metavar="FILE", help="JSON config")
     p_exp.add_argument("--check", action="store_true",
-                       help="exit 4 when any acceptance threshold fails")
+                       help="exit 4 when any acceptance threshold fails or none was checked")
     p_exp.add_argument("--out", metavar="PATH", help="override the config output path")
     return parser
 

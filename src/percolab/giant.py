@@ -53,8 +53,8 @@ def solve_rho(dist: SizeDistribution, t: float, tol: float = 1.0e-10) -> FixedPo
     so the positive root is unique), then polishes with Newton steps
     until the residual drops below tol.
     """
-    if t <= 0:
-        raise InvalidConfigError("t must be > 0")
+    if not 0 < t < math.inf:
+        raise InvalidConfigError("t must be finite and > 0")
     if not dist.counts:
         raise InvalidConfigError("empty distribution")
     if not 0.0 < tol < 1.0:

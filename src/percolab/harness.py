@@ -689,10 +689,14 @@ def run_config(cfg: ExperimentConfig, check: bool = False, quiet: bool = False) 
         return 3
     write_csv(outcome.rows, cfg.out)
     write_meta(cfg.out, cfg, time.perf_counter() - start, outcome.checks)
+    failed = sum(not c.passed for c in outcome.checks)
     if not quiet:
         for c in outcome.checks:
             print(f"[{'PASS' if c.passed else 'FAIL'}] {c.name}: {c.detail}")
+        print(f"{len(outcome.checks)} checks, {failed} failed")
         print(f"wrote {cfg.out} ({len(outcome.rows)} rows)")
-    if check and any(not c.passed for c in outcome.checks):
+    if check and not outcome.checks and not quiet:
+        print("--check needs at least one check; this experiment emitted none")
+    if check and (failed or not outcome.checks):
         return 4
     return 0

@@ -9,8 +9,10 @@ engine='python' is the scalar reference: it walks the rows one by one
 through a union-find forest with an exact moment ledger. engine='auto'
 decides whole slices of rows with numpy, buffers the inserted edges and
 folds them into component labels with one connected-components pass
-per snapshot. The product rule's choice depends on component sizes, so
-it always takes the scalar path.
+per snapshot. The product rule's choice depends on exact component
+sizes, so its batch path decides the rows in one Python loop over a
+list union-find that holds only sizes, and buffers the merging edges
+for the same snapshot pass.
 
 Process time follows t = 2m/n where m counts attempted insertions
 (rounds for the two-choice rules), with m = floor(n*t/2) at the end
@@ -150,11 +152,14 @@ def build_initial_graph(spec: InitialGraphSpec, n: int, forest: DisjointSetFores
 
 def poisson_edge_count(t: float, n: int, rng: np.random.Generator) -> int:
     """Number of edges arriving by process time t under Poisson arrivals."""
-    if t < 0:
-        raise InvalidConfigError("time must be >= 0")
+    if not t >= 0:
+        raise InvalidConfigError(f"time must be >= 0, got {t}")
     if t == 0:
         return 0
-    return int(rng.poisson((n - 1) * t / 2))
+    try:
+        return int(rng.poisson((n - 1) * t / 2))
+    except ValueError as exc:  # a mean past numpy's limit, about 9.2e18
+        raise InvalidConfigError(f"Poisson edge count at time {t:g} on n={n}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -215,9 +220,9 @@ class Snapshot:
 class Simulation:
     """One evolving graph under one process rule.
 
-    engine='auto' runs the batch engine (the product rule excepted),
-    engine='python' the scalar reference. Both consume the same
-    proposal stream, so results are engine-independent.
+    engine='auto' runs the batch engine, engine='python' the scalar
+    reference. Both consume the same proposal stream, so results are
+    engine-independent.
     """
 
     def __init__(self, kind: ProcessKind, n: int, initial: InitialGraphSpec | str | None = None,
@@ -226,6 +231,8 @@ class Simulation:
             raise InvalidConfigError("n must be >= 2")
         if engine not in ENGINES:
             raise InvalidConfigError(f"unknown engine {engine!r}")
+        if seed < 0:
+            raise InvalidConfigError("seed must be >= 0")
         if isinstance(initial, str):
             initial = InitialGraphSpec.parse(initial)
         self.initial = initial or InitialGraphSpec()
@@ -248,7 +255,7 @@ class Simulation:
         if kind is ProcessKind.ER_WITHOUT_REPLACEMENT:
             initial_edges = sum((s - 1) * c for s, c in self.initial.parts)
             self._free_pairs = n * (n - 1) // 2 - initial_edges
-        self._batch = engine == "auto" and kind is not ProcessKind.PRODUCT_RULE
+        self._batch = engine == "auto"
         if self._batch:
             self._init_batch()
         else:
@@ -281,6 +288,14 @@ class Simulation:
             # 0.7*sqrt(n) rows keeps cuts rare and the per-block overhead small.
             self._block = max(2, int(0.7 * math.sqrt(n)))
             self._stamp = np.full(n, self._block, dtype=np.int64)
+        if self.kind is ProcessKind.PRODUCT_RULE:
+            # the product rule reads exact component sizes every round: a
+            # union-find over plain lists, sizes valid at roots, with _trees
+            # counting its components for the snapshot self-check
+            self._parent = list(range(n))
+            self._size = [1] * n
+            self._trees = n
+            self._join(lo.tolist(), (lo + 1).tolist())
 
     # -- proposal stream -------------------------------------------------
 
@@ -331,6 +346,8 @@ class Simulation:
             return self._consume_python(kind, need)
         if kind is ProcessKind.BOUNDED_SIZE:
             return self._consume_bf(need)
+        if kind is ProcessKind.PRODUCT_RULE:
+            return self._consume_product(need)
         return self._consume_uniform(need, kind is ProcessKind.ER_WITHOUT_REPLACEMENT)
 
     def _consume_python(self, kind: ProcessKind, need: int) -> int:
@@ -393,8 +410,12 @@ class Simulation:
             present = self._keys[np.searchsorted(self._keys, keys)] == keys
             take &= first & ~present
             self._keys = np.sort(np.concatenate((self._keys, keys[take])), kind="stable")
-        self._insert(u[take], v[take])
-        return int(np.count_nonzero(take))
+        u, v = u[take], v[take]
+        self._insert(u, v)
+        if self.kind is ProcessKind.PRODUCT_RULE:
+            # continuation edges change the sizes later product rounds read
+            self._join(u.tolist(), v.tolist())
+        return len(u)
 
     def _consume_bf(self, need: int) -> int:
         """One speculative block of bf rounds.
@@ -437,6 +458,68 @@ class Simulation:
             self._pos += cut if at is None else int(at[cut])
         return cut
 
+    def _join(self, us: list[int], vs: list[int]) -> None:
+        """Union edges into the product rule's size forest."""
+        parent, size = self._parent, self._size
+        for a, b in zip(us, vs):
+            while parent[a] != a:
+                # path halving: parent[a] is assigned before a is rebound
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            if a != b:
+                if size[a] < size[b]:
+                    a, b = b, a
+                parent[b] = a
+                size[a] += size[b]
+                self._trees -= 1
+
+    def _consume_product(self, need: int) -> int:
+        """Product-rule rounds, decided one by one on the exact sizes of the
+        list union-find. The rows are converted a slice at a time, as on the
+        scalar path; the merging edges are buffered for the snapshot."""
+        parent, size, loops = self._parent, self._size, self.loops
+        us: list[int] = []
+        vs: list[int] = []
+        done = e1 = 0
+        while done < need and self._pos < len(self._buf):
+            rows = self._buf[self._pos:self._pos + need - done].tolist()
+            self._pos += len(rows)
+            for v1, w1, v2, w2 in rows:
+                if not loops and (v1 == w1 or v2 == w2):
+                    continue
+                done += 1
+                # the four roots, inline with path halving: this loop is the
+                # whole cost of a product run
+                a = v1
+                while parent[a] != a:
+                    parent[a] = a = parent[parent[a]]
+                b = w1
+                while parent[b] != b:
+                    parent[b] = b = parent[parent[b]]
+                c = v2
+                while parent[c] != c:
+                    parent[c] = c = parent[parent[c]]
+                d = w2
+                while parent[d] != d:
+                    parent[d] = d = parent[parent[d]]
+                if size[a] * size[b] >= size[c] * size[d]:
+                    e1 += 1
+                    u, v = v1, w1
+                else:
+                    a, b, u, v = c, d, v2, w2
+                if a != b:
+                    if size[a] < size[b]:
+                        a, b = b, a
+                    parent[b] = a
+                    size[a] += size[b]
+                    us.append(u)
+                    vs.append(v)
+        self.e1_rounds += e1
+        self._trees -= len(us)
+        self._insert(np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64))
+        return done
+
     def _merge_pending(self) -> None:
         """Fold the buffered edges into the component labels."""
         if not self._pending:
@@ -463,6 +546,8 @@ class Simulation:
             c1, c2, n1 = dist.c1, dist.c2, dist.n1
             if sums[0] != self.n or n1 != int(np.count_nonzero(self._iso)):
                 raise AssertionError("component labels and isolation bitmap disagree")
+            if self.kind is ProcessKind.PRODUCT_RULE and self._trees != self._ncomp:
+                raise AssertionError("product union-find and component labels disagree")
         else:
             dist = snapshot_distribution(self.forest)
             sums = tuple(dist.power_sum(k) for k in (1, 2, 3, 4))
@@ -489,8 +574,8 @@ def run_process(kind: ProcessKind | str, n: int, initial: InitialGraphSpec | str
     if isinstance(kind, str):
         kind = ProcessKind.from_token(kind)
     record_at = tuple(record_at)
-    if any(t < 0 for t in record_at) or t_end < 0:
-        raise InvalidConfigError("times must be >= 0")
+    if not all(0 <= t < math.inf for t in (*record_at, t_end)):
+        raise InvalidConfigError("times must be finite and >= 0")
     if list(record_at) != sorted(record_at):
         raise InvalidConfigError("record_at must be sorted ascending")
     if record_at and record_at[-1] > t_end:

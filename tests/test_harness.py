@@ -174,6 +174,18 @@ def test_run_config_writes_meta_sidecar(tmp_path):
     assert meta["versions"]["numpy"]
 
 
+def test_check_fails_when_the_experiment_emits_no_check(tmp_path, capsys):
+    # growth checks its level only at delta = 0.1 and fits a slope only from
+    # two deltas, so a lone delta of 0.2 yields rows but no check
+    cfg = ExperimentConfig.from_dict({
+        "experiment": "growth", "n": 2000, "replicates": 2, "seed": 3,
+        "delta_grid": [0.2], "out": str(tmp_path / "g.csv"),
+    })
+    assert run_config(cfg, check=True) == 4
+    assert "0 checks, 0 failed" in capsys.readouterr().out
+    assert run_config(cfg, check=False, quiet=True) == 0
+
+
 # ---------------------------------------------------------------------------
 # distribution files
 
@@ -222,6 +234,37 @@ def test_cli_simulate_rejects_numba_engine_and_er_beyond_complete_graph():
     proc = cli("simulate", "--process", "er", "--n", "5", "--t", "5", "--seed", "1")
     assert proc.returncode == 2
     assert "error:" in proc.stderr
+
+
+def test_cli_product_engines_print_identical_traces():
+    args = ("simulate", "--process", "product", "--n", "3000", "--t", "1.2",
+            "--seed", "4", "--initial", "3:50,2:100", "--record", "0.3,0.9,1.2")
+    auto, scalar = cli(*args, "--engine", "auto"), cli(*args, "--engine", "python")
+    assert auto.returncode == scalar.returncode == 0
+    assert auto.stdout == scalar.stdout
+    assert len(auto.stdout.splitlines()) == 4
+
+
+@pytest.mark.parametrize("args", [
+    ("--process", "bf", "--t", "nan", "--seed", "1"),
+    ("--process", "bf", "--t", "inf", "--seed", "1"),
+    ("--process", "bf", "--t", "1", "--record", "nan", "--seed", "1"),
+    ("--process", "product", "--t", "1", "--seed", "-1"),
+    ("--process", "er-poisson", "--t", "1e300", "--seed", "1"),
+])
+def test_cli_simulate_rejects_non_finite_times_negative_seeds_and_huge_means(args):
+    proc = cli("simulate", "--n", "100", *args)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:")
+
+
+@pytest.mark.parametrize("t", ["inf", "nan"])
+def test_cli_fixed_point_rejects_non_finite_density(tmp_path, t):
+    p = tmp_path / "dist.csv"
+    p.write_text("size,count\n1,500000\n2,250000\n")
+    proc = cli("fixed-point", "--dist", str(p), "--t", t)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
 
 
 def test_cli_experiment_creates_output_directory(tmp_path):

@@ -296,6 +296,65 @@ def test_bf_batch_parity_when_blocks_are_cut_every_round():
     assert sims[0].blocks == len(rows)
 
 
+@pytest.mark.parametrize("loops", [True, False])
+def test_product_batch_parity_on_hand_made_rows(loops):
+    """Ties, a chosen loop, a chosen edge inside one component and, without
+    loops, skipped rows; the scalar engine fed the same rows must agree."""
+    rows = [
+        (0, 1, 2, 3),  # tie 1*1 = 1*1: the first edge joins 0-1
+        (0, 0, 4, 5),  # 2*2 > 1*1: the first edge, a loop (skipped without loops)
+        (4, 5, 1, 0),  # 1*1 < 2*2: the second edge, inside {0, 1}
+        (2, 3, 6, 6),  # tie: the first edge joins 2-3 (skipped without loops)
+        (6, 7, 0, 2),  # the second edge joins {0, 1} and 2's component
+        (8, 9, 8, 9),  # tie between equal edges: the first joins 8-9
+    ]
+    rounds = 6 if loops else 4
+    sims = []
+    for engine in ("auto", "python"):
+        sim = Simulation(ProcessKind.PRODUCT_RULE, 10, loops=loops, engine=engine)
+        sim._buf = np.array(rows, dtype=np.int64)  # stands in for the drawn chunk
+        sim.advance_to(rounds)
+        sims.append((sim.snapshot(), sim.e1_rounds, sim._pos))
+    assert sims[0] == sims[1]
+    snap, e1, pos = sims[0]
+    assert pos == len(rows)
+    if loops:
+        assert (e1, snap.dist.counts) == (4, {1: 4, 2: 1, 4: 1})
+    else:
+        assert (e1, snap.dist.counts) == (2, {1: 5, 2: 1, 3: 1})
+
+
+def test_product_engine_parity_with_chunk_of_one_row():
+    """Every round refills the buffer, loop rows are skipped across refills,
+    and a continuation feeds the union-find the rule reads."""
+    sched = dict(kind="product", n=300, initial="3:10,2:20", loops=False, seed=8,
+                 schedule=(50, 200), extra=100)
+    with mock.patch.object(processes, "CHUNK", 1):
+        auto = stream_trace(engine="auto", **sched)
+        assert auto == stream_trace(engine="python", **sched)
+    sims = []
+    for engine in ("auto", "python"):
+        sim = Simulation(ProcessKind.PRODUCT_RULE, 300, initial="3:10,2:20", seed=8,
+                         engine=engine)
+        sim.advance_to(100)
+        sim.add_er_edges(100)
+        sim.advance_to(200)  # product rounds after the continuation
+        sims.append((sim.snapshot(), sim.e1_rounds, sim.rng.bit_generator.state))
+    assert sims[0] == sims[1]
+
+
+def test_product_snapshot_checks_its_union_find():
+    sim = Simulation(ProcessKind.PRODUCT_RULE, 6)
+    sim._buf = np.array([(0, 1, 2, 3), (0, 1, 0, 1)], dtype=np.int64)
+    sim.advance_to(1)
+    sim.snapshot()
+    child = 1 if sim._parent[1] == 0 else 0
+    sim._parent[child], sim._size[child] = child, 1  # forget that 0 and 1 are joined
+    sim.advance_to(2)  # the forest counts a second merge of 0 and 1
+    with pytest.raises(AssertionError):
+        sim.snapshot()
+
+
 def test_batch_snapshot_checks_itself():
     sim = Simulation(ProcessKind.ER_WITH_REPLACEMENT, 100, seed=1)
     sim.advance_to(30)
@@ -335,6 +394,27 @@ def test_engine_parity_property(case):
     sched, chunk = case
     with mock.patch.object(processes, "CHUNK", chunk):
         assert stream_trace(engine="auto", **sched) == stream_trace(engine="python", **sched)
+
+
+@pytest.mark.parametrize("bad", [
+    dict(t_end=math.nan), dict(t_end=math.inf), dict(record_at=(math.nan,)),
+    dict(t_end=math.inf, record_at=(0.5,)), dict(seed=-1),
+])
+def test_run_process_rejects_non_finite_times_and_negative_seeds(bad):
+    kwargs = dict(t_end=1.0, record_at=(1.0,), seed=0)
+    kwargs.update(bad)
+    for kind in ("bf", "er-poisson"):
+        with pytest.raises(InvalidConfigError):
+            run_process(kind, 100, **kwargs)
+
+
+def test_poisson_edge_count_rejects_means_numpy_cannot_draw():
+    rng = np.random.default_rng(0)
+    for t in (1e300, math.inf, math.nan):
+        with pytest.raises(InvalidConfigError):
+            poisson_edge_count(t, 1000, rng)
+    with pytest.raises(InvalidConfigError):
+        run_process("er-poisson", 1000, t_end=1e300, seed=0)
 
 
 def test_add_er_edges_does_not_touch_e1_count():
