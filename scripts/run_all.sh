@@ -1,15 +1,22 @@
 #!/usr/bin/env bash
-# Run every shipped experiment config with --check and stop on the first
-# violation. Outputs land in ./results relative to the working directory.
+# Run every shipped experiment config with --check in a fresh temporary
+# directory, and compare each CSV it writes byte for byte with the
+# committed golden copy in scripts/results/. Stops on the first failed
+# check or differing CSV. Needs the `percolab` command on PATH
+# (pip install -e .). The tracked scripts/results/ is never written.
 set -euo pipefail
 
-cd "$(dirname "$0")"
-mkdir -p results
+here="$(cd "$(dirname "$0")" && pwd)"
+work="$(mktemp -d)"
+trap 'rm -rf "$work"' EXIT
+cd "$work"  # each config writes to results/<name>.csv relative to here
 
-for cfg in configs/constants.json configs/moments.json configs/giant.json \
-           configs/growth.json configs/two_phase.json configs/variant_agreement.json; do
+for name in constants moments giant growth two_phase variant_agreement; do
+    cfg="$here/configs/$name.json"
     echo "== percolab experiment --config $cfg --check"
     percolab experiment --config "$cfg" --check
+    echo "== cmp results/$name.csv $here/results/$name.csv"
+    cmp "results/$name.csv" "$here/results/$name.csv"
     echo
 done
 
@@ -17,8 +24,8 @@ echo "== percolab ode"
 percolab ode
 
 echo
-echo "== percolab fixed-point --dist data/half_pairs.csv --t 0.7166666667"
-percolab fixed-point --dist data/half_pairs.csv --t 0.7166666667
+echo "== percolab fixed-point --dist $here/data/half_pairs.csv --t 0.7166666667"
+percolab fixed-point --dist "$here/data/half_pairs.csv" --t 0.7166666667
 
 echo
-echo "all experiments passed their checks"
+echo "all experiments passed their checks and reproduce scripts/results/*.csv byte for byte"

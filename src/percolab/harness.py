@@ -101,6 +101,22 @@ class CheckResult:
     detail: str
 
 
+def _is_real(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+# each config field's annotation -> the check its value must pass, and how
+# error messages name that type
+_FIELD_TYPES = {
+    "str": (lambda x: isinstance(x, str), "a string"),
+    "int": (lambda x: isinstance(x, int) and not isinstance(x, bool), "an integer"),
+    "float": (_is_real, "a finite number"),
+    "bool": (lambda x: isinstance(x, bool), "true or false"),
+    "list[float]": (lambda x: isinstance(x, list) and all(_is_real(v) for v in x),
+                    "a list of finite numbers"),
+}
+
+
 @dataclass
 class ExperimentConfig:
     """Declarative description of one experiment run."""
@@ -149,6 +165,13 @@ class ExperimentConfig:
         return cls.from_dict(data)
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            check, kind = _FIELD_TYPES[f.type]
+            if not check(value):
+                raise InvalidConfigError(f"{f.name} must be {kind}, got {value!r}")
+        if self.tol <= 0:
+            raise InvalidConfigError("tol must be > 0")
         if self.experiment not in EXPERIMENT_NAMES:
             raise InvalidConfigError(
                 f"unknown experiment {self.experiment!r}; expected one of {EXPERIMENT_NAMES}"

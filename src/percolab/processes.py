@@ -9,10 +9,16 @@ engine='python' is the scalar reference: it walks the rows one by one
 through a union-find forest with an exact moment ledger. engine='auto'
 decides whole slices of rows with numpy, buffers the inserted edges and
 folds them into component labels with one connected-components pass
-per snapshot. The product rule's choice depends on exact component
-sizes, so its batch path decides the rows in one Python loop over a
-list union-find that holds only sizes, and buffers the merging edges
-for the same snapshot pass.
+per snapshot. The two-choice rules decide speculative blocks of about
+sqrt(n) rows on the state at block start. The product rule reads exact
+component sizes from an int64 union-find: numpy decides at once every
+round of a block whose components no earlier round of the block touched
+and whose choice cannot change as the giant grows, and a short scalar
+pass plays the rest in row order. Its merging edges are buffered for the
+same snapshot pass.
+
+One run attempts at most MAX_ATTEMPTS insertions; asking for more
+raises InvalidConfigError, since no run of that length could finish.
 
 Process time follows t = 2m/n where m counts attempted insertions
 (rounds for the two-choice rules), with m = floor(n*t/2) at the end
@@ -55,6 +61,8 @@ __all__ = [
 ]
 
 CHUNK = 1 << 18  # proposal rows drawn per generator call
+PRODUCT_BLOCK: int | None = None  # rows per product block; None scales it with sqrt(n)
+MAX_ATTEMPTS = 1 << 32  # insertions one simulation may attempt, main and continuation each
 ENGINES = ("auto", "python")
 
 
@@ -132,14 +140,17 @@ class InitialGraphSpec:
             counts[1] = counts.get(1, 0) + fill
         return SizeDistribution(dict(sorted(counts.items())))
 
-    def path_edges(self):
+    def path_lows(self) -> np.ndarray:
+        """Lower ends v of the path edges (v, v+1), in construction order."""
+        sizes = np.repeat(np.array([s for s, _ in self.parts], dtype=np.int64),
+                          np.array([c for _, c in self.parts], dtype=np.int64))
+        inner = np.ones(self.total_vertices, dtype=bool)
+        inner[np.cumsum(sizes) - 1] = False  # the last vertex of each path
+        return np.flatnonzero(inner)
+
+    def path_edges(self) -> list[tuple[int, int]]:
         """Edges (v, v+1) of the path realization, in construction order."""
-        offset = 0
-        for s, c in self.parts:
-            for _ in range(c):
-                for v in range(offset, offset + s - 1):
-                    yield v, v + 1
-                offset += s
+        return [(v, v + 1) for v in self.path_lows().tolist()]
 
 
 def build_initial_graph(spec: InitialGraphSpec, n: int, forest: DisjointSetForest,
@@ -246,7 +257,7 @@ class Simulation:
         self.m = 0  # attempted insertions of the main process
         self.extra_attempts = 0  # continuation edges added on top
         self.e1_rounds = 0  # rounds in which the first offered edge was chosen
-        self.blocks = 0  # speculative bf blocks decided by the batch engine
+        self.blocks = 0  # speculative bf and product blocks decided by the batch engine
         self._buf: np.ndarray | None = None
         self._pos = 0
         self._cols = 4 if kind.two_choice else 2
@@ -272,7 +283,7 @@ class Simulation:
 
     def _init_batch(self) -> None:
         n = self.n
-        lo = np.fromiter((u for u, _ in self.initial.path_edges()), dtype=np.int64)
+        lo = self.initial.path_lows()
         self._labels = np.arange(n, dtype=np.int64)  # component index per vertex
         self._ncomp = n
         self._pending: list[tuple[np.ndarray, np.ndarray]] = []  # edges not yet in labels
@@ -282,20 +293,18 @@ class Simulation:
             # sorted keys u*n+v (u < v) of the edges present, closed by n*n,
             # which is above every key, so a lookup never runs off the end
             self._keys = np.append(lo * n + lo + 1, n * n)
-        if self.kind is ProcessKind.BOUNDED_SIZE:
-            # A bf block is decided on the isolation bitmap at its start. A block
-            # of L rows is cut with probability of order L*L/n, so about
-            # 0.7*sqrt(n) rows keeps cuts rare and the per-block overhead small.
-            self._block = max(2, int(0.7 * math.sqrt(n)))
+        if self.kind.two_choice:
+            # A block is decided on the state at its start. A block of L rows
+            # meets a vertex (bf) or a component (product) an earlier round of
+            # it touched with probability of order L*L/n, so O(sqrt(n)) rows
+            # keep those rounds rare and the per-block overhead small.
+            if self.kind is ProcessKind.BOUNDED_SIZE:
+                self._block = max(2, int(0.7 * math.sqrt(n)))
+            else:
+                self._block = PRODUCT_BLOCK or max(2, int(1.2 * math.sqrt(n)))
             self._stamp = np.full(n, self._block, dtype=np.int64)
         if self.kind is ProcessKind.PRODUCT_RULE:
-            # the product rule reads exact component sizes every round: a
-            # union-find over plain lists, sizes valid at roots, with _trees
-            # counting its components for the snapshot self-check
-            self._parent = list(range(n))
-            self._size = [1] * n
-            self._trees = n
-            self._join(lo.tolist(), (lo + 1).tolist())
+            self._rebuild_forest()
 
     # -- proposal stream -------------------------------------------------
 
@@ -309,6 +318,7 @@ class Simulation:
     # -- main process ----------------------------------------------------
 
     def _check_target(self, m_target: int) -> None:
+        _check_attempts(m_target)
         if self._free_pairs is not None and m_target > self._free_pairs:
             raise InvalidConfigError(
                 f"er on n={self.n} has {self._free_pairs} vertex pairs free of initial "
@@ -332,6 +342,7 @@ class Simulation:
         extra_attempts, not in the main process clock m.
         """
         left = int(count)
+        _check_attempts(self.extra_attempts + left)
         while left > 0:
             self._refill(2)
             done = self._consume(ProcessKind.ER_WITH_REPLACEMENT, left)
@@ -414,7 +425,7 @@ class Simulation:
         self._insert(u, v)
         if self.kind is ProcessKind.PRODUCT_RULE:
             # continuation edges change the sizes later product rounds read
-            self._join(u.tolist(), v.tolist())
+            self._rebuild_forest()
         return len(u)
 
     def _consume_bf(self, need: int) -> int:
@@ -458,67 +469,139 @@ class Simulation:
             self._pos += cut if at is None else int(at[cut])
         return cut
 
-    def _join(self, us: list[int], vs: list[int]) -> None:
-        """Union edges into the product rule's size forest."""
-        parent, size = self._parent, self._size
-        for a, b in zip(us, vs):
-            while parent[a] != a:
-                # path halving: parent[a] is assigned before a is rebound
-                parent[a] = a = parent[parent[a]]
-            while parent[b] != b:
-                parent[b] = b = parent[parent[b]]
-            if a != b:
-                if size[a] < size[b]:
-                    a, b = b, a
-                parent[b] = a
-                size[a] += size[b]
-                self._trees -= 1
+    def _rebuild_forest(self) -> None:
+        """Rebuild the product rule's union-find from the component labels,
+        after folding in every buffered edge. Each vertex points at one
+        vertex of its component, the root, which holds the size; `_big` is
+        the root of a largest component and `_trees` counts the components
+        for the snapshot self-check."""
+        self._merge_pending()
+        labels = self._labels
+        root = np.empty(self._ncomp, dtype=np.int64)
+        root[labels] = np.arange(self.n, dtype=np.int64)  # any vertex of each component
+        counts = np.bincount(labels, minlength=self._ncomp)
+        self._parent = root[labels]
+        self._size = np.zeros(self.n, dtype=np.int64)  # valid at roots only
+        self._size[root] = counts
+        self._big = int(root[np.argmax(counts)])
+        self._trees = self._ncomp
 
     def _consume_product(self, need: int) -> int:
-        """Product-rule rounds, decided one by one on the exact sizes of the
-        list union-find. The rows are converted a slice at a time, as on the
-        scalar path; the merging edges are buffered for the snapshot."""
-        parent, size, loops = self._parent, self._size, self.loops
+        """One block of product-rule rounds on the int64 union-find.
+
+        A vectorized pass finds the roots of all four vertices of every
+        round at block start. A round is free when none of its roots but
+        the giant's (`_big`) was read by an earlier round of the block: no
+        earlier round can have merged them, so their sizes are exact. Only
+        the giant's size G may have grown since block start, and each
+        product has the form c*G**d, so the choice is monotone in G; a free
+        round whose choice is the same at G = g0, the size at block start,
+        and at G = n is exact. Round 0 reads the block-start state, so it
+        is always exact. All exact rounds are applied at once: merges into
+        the giant keep `_big` as the root, and every other merge joins two
+        roots that no other round of the pass reads.
+
+        A scalar pass then plays the other rounds in row order on the live
+        forest. The merges applied so far only touched components those
+        rounds do not meet, except the giant, so each reads exact sizes
+        once the giant's is set to g0 plus the growth from earlier rounds.
+        """
+        rows = self._buf[self._pos:self._pos + min(need, self._block)]
+        self._pos += len(rows)
+        if not self.loops:
+            rows = rows[(rows[:, 0] != rows[:, 1]) & (rows[:, 2] != rows[:, 3])]
+        count = len(rows)
+        parent, size, big = self._parent, self._size, self._big
+        ends = rows.ravel()
+        roots = parent[ends]
+        while True:
+            up = parent[roots]
+            if np.array_equal(up, roots):
+                break
+            roots = up
+        parent[ends] = roots  # point the queried vertices at their roots
+        turn = np.repeat(np.arange(count), 4)
+        stamp = self._stamp  # earliest round of the block reading each root
+        np.minimum.at(stamp, roots, turn)
+        fresh = stamp[roots] == turn
+        stamp[roots] = self._block
+        roots = roots.reshape(count, 4)
+        giant = roots == big
+        free = (fresh.reshape(count, 4) | giant).all(axis=1)
+        g0 = int(size[big])
+        sizes = size[roots]
+        low = np.where(giant, g0, sizes)
+        high = np.where(giant, self.n, sizes)
+        first = low[:, 0] * low[:, 1] >= low[:, 2] * low[:, 3]
+        exact = free & (first == (high[:, 0] * high[:, 1] >= high[:, 2] * high[:, 3]))
+        exact[:1] = True
+
+        a = np.where(first, roots[:, 0], roots[:, 2])
+        b = np.where(first, roots[:, 1], roots[:, 3])
+        join = exact & (a != b)
+        into = join & ((a == big) | (b == big))
+        other = (a + b - big)[into]  # the root that joins the giant
+        grow = np.zeros(count, dtype=np.int64)  # giant growth per round
+        grow[into] = size[other]
+        parent[other] = big
+        size[big] += grow.sum()
+        pair = join & ~into
+        pa, pb = a[pair], b[pair]
+        sa, sb = size[pa], size[pb]
+        swap = sa < sb  # union by size
+        top = np.where(swap, pb, pa)
+        parent[np.where(swap, pa, pb)] = top
+        size[top] = sa + sb
+        u = np.where(first, rows[:, 0], rows[:, 2])[join]
+        v = np.where(first, rows[:, 1], rows[:, 3])[join]
+        e1 = int(np.count_nonzero(first[exact]))
+
+        late = np.flatnonzero(~exact)
         us: list[int] = []
         vs: list[int] = []
-        done = e1 = 0
-        while done < need and self._pos < len(self._buf):
-            rows = self._buf[self._pos:self._pos + need - done].tolist()
-            self._pos += len(rows)
-            for v1, w1, v2, w2 in rows:
-                if not loops and (v1 == w1 or v2 == w2):
-                    continue
-                done += 1
-                # the four roots, inline with path halving: this loop is the
-                # whole cost of a product run
-                a = v1
-                while parent[a] != a:
-                    parent[a] = a = parent[parent[a]]
-                b = w1
-                while parent[b] != b:
-                    parent[b] = b = parent[parent[b]]
-                c = v2
-                while parent[c] != c:
-                    parent[c] = c = parent[parent[c]]
-                d = w2
-                while parent[d] != d:
-                    parent[d] = d = parent[parent[d]]
-                if size[a] * size[b] >= size[c] * size[d]:
+        grown: list[int] = []  # roots of the scalar pass's other merges
+        if len(late):
+            before = (np.cumsum(grow) - grow)[late].tolist()
+            extra = 0  # giant growth from the scalar rounds played so far
+            for g, quad, row in zip(before, roots[late].tolist(), rows[late].tolist()):
+                for i, x in enumerate(quad):
+                    while parent[x] != x:
+                        x = parent[x]
+                    quad[i] = int(x)
+                giant_size = g0 + g + extra
+                sz = [giant_size if x == big else int(size[x]) for x in quad]
+                if sz[0] * sz[1] >= sz[2] * sz[3]:
                     e1 += 1
-                    u, v = v1, w1
+                    x, y, edge = quad[0], quad[1], row[:2]
                 else:
-                    a, b, u, v = c, d, v2, w2
-                if a != b:
-                    if size[a] < size[b]:
-                        a, b = b, a
-                    parent[b] = a
-                    size[a] += size[b]
-                    us.append(u)
-                    vs.append(v)
+                    x, y, edge = quad[2], quad[3], row[2:]
+                if x == y:
+                    continue
+                if y == big or (x != big and size[x] < size[y]):
+                    x, y = y, x  # x keeps the root: the giant, else the larger
+                parent[y] = x
+                size[x] += size[y]
+                if x == big:
+                    extra += int(size[y])
+                else:
+                    grown.append(x)
+                us.append(edge[0])
+                vs.append(edge[1])
+
+        # keep `_big` on a largest component: only components merged in this
+        # block grew, and those still roots are the candidates
+        tops = np.concatenate((top, np.array(grown, dtype=np.int64)))
+        tops = tops[parent[tops] == tops]
+        if len(tops):
+            best = tops[np.argmax(size[tops])]
+            if size[best] > size[big]:
+                self._big = int(best)
         self.e1_rounds += e1
-        self._trees -= len(us)
-        self._insert(np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64))
-        return done
+        self._trees -= len(u) + len(us)
+        self._insert(np.concatenate((u, np.array(us, dtype=np.int64))),
+                     np.concatenate((v, np.array(vs, dtype=np.int64))))
+        self.blocks += 1
+        return count
 
     def _merge_pending(self) -> None:
         """Fold the buffered edges into the component labels."""
@@ -557,6 +640,13 @@ class Simulation:
             if (c1, n1) != (self.ledger.c1_size, self.ledger.n1_isolated):
                 raise AssertionError("ledger extremes and histogram disagree")
         return Snapshot(m=self.m, dist=dist, s_sums=sums, c1=c1, c2=c2, n1=n1)
+
+
+def _check_attempts(m: int) -> None:
+    if m > MAX_ATTEMPTS:
+        raise InvalidConfigError(
+            f"{m} insertions asked for, more than the {MAX_ATTEMPTS} one run may attempt"
+        )
 
 
 def _snap_index(n: int, t: float, m_end: int) -> int:

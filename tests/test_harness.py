@@ -21,10 +21,10 @@ from percolab.harness import (
 HEADER = "experiment,run_id,seed,n,process,t,delta,observable,value,prediction,pred_source,abs_err,rel_err,stderr"
 
 
-def cli(*args):
+def cli(*args, timeout=600):
     proc = subprocess.run(
         [sys.executable, "-m", "percolab", *args],
-        capture_output=True, text=True, timeout=600, env=child_env(),
+        capture_output=True, text=True, timeout=timeout, env=child_env(),
     )
     return proc
 
@@ -61,6 +61,21 @@ def test_config_from_dict_requires_experiment_and_n():
     {"experiment": "giant", "t_grid": [1.5], "initial": "3:"},
     {"experiment": "giant", "t_grid": [1.5], "engine": "turbo"},
     {"experiment": "giant", "t_grid": [1.5], "engine": "numba"},
+    {"n": 1000.5},
+    {"n": "1000"},
+    {"n": True},
+    {"replicates": 1.5},
+    {"replicates": False},
+    {"seed": 4.0},
+    {"workers": "2"},
+    {"tol": -1},
+    {"tol": 0},
+    {"tol": "1e-8"},
+    {"loops": 1},
+    {"t_grid": 0.5},
+    {"t_grid": [0.5, "1.0"]},
+    {"t_grid": [float("nan")]},
+    {"initial": 3},
 ])
 def test_config_validate_rejects(patch):
     base = {"experiment": "moments", "n": 1000, "t_grid": [0.5]}
@@ -258,6 +273,18 @@ def test_cli_simulate_rejects_non_finite_times_negative_seeds_and_huge_means(arg
     assert proc.stderr.startswith("error:")
 
 
+@pytest.mark.parametrize("args", [
+    ("--process", "er-wr", "--t", "1e12"),
+    ("--process", "er-poisson", "--t", "1e15"),
+    ("--process", "product", "--t", "1e12", "--record", "0.5"),
+])
+def test_cli_simulate_rejects_more_attempts_than_a_run_may_make(args):
+    """These used to run for ever; the timeout turns a hang into a failure."""
+    proc = cli("simulate", "--n", "100", "--seed", "1", *args, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert "one run may attempt" in proc.stderr
+
+
 @pytest.mark.parametrize("t", ["inf", "nan"])
 def test_cli_fixed_point_rejects_non_finite_density(tmp_path, t):
     p = tmp_path / "dist.csv"
@@ -291,6 +318,10 @@ def test_cli_bad_config_exits_2(tmp_path):
     proc = cli("experiment", "--config", str(p))
     assert proc.returncode == 2
     assert cli("experiment", "--config", str(tmp_path / "missing.json")).returncode == 2
+    p.write_text('{"experiment": "moments", "n": 1000.5, "t_grid": [0.5]}')
+    proc = cli("experiment", "--config", str(p))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: n must be an integer")
 
 
 def test_cli_numerical_failure_exits_3(tmp_path):

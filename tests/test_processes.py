@@ -343,16 +343,72 @@ def test_product_engine_parity_with_chunk_of_one_row():
     assert sims[0] == sims[1]
 
 
+def product_on_rows(rows, n, initial):
+    """Play hand-made rows (they stand in for the drawn chunk) on both engines,
+    with every row in one product block; returns (snapshot, e1_rounds, _pos)
+    per engine and the batch simulation."""
+    out = []
+    for engine in ("auto", "python"):
+        with mock.patch.object(processes, "PRODUCT_BLOCK", 64):
+            sim = Simulation(ProcessKind.PRODUCT_RULE, n, initial=initial, engine=engine)
+        sim._buf = np.array(rows, dtype=np.int64)
+        sim.advance_to(len(rows))
+        out.append((sim.snapshot(), sim.e1_rounds, sim._pos))
+        if engine == "auto":
+            batch = sim
+    return out, batch
+
+
+def test_product_round_sharing_a_component_with_its_block_is_played_late():
+    """Round 1 meets 15's component, which round 0 grew: at block start it is
+    a tie and would take the first edge, but the exact sizes take the second.
+    Round 2 then reads the component round 1 grew."""
+    rows = [
+        (15, 16, 17, 18),  # tie: 15-16
+        (19, 20, 15, 21),  # 1*1 < 2*1: the second edge, 21 joins {15, 16}
+        (19, 21, 22, 23),  # 1*3 > 1*1: 19 joins {15, 16, 21}
+    ]
+    (batch, scalar), sim = product_on_rows(rows, 30, initial="8:1")
+    assert batch == scalar
+    snap, e1, _ = batch
+    assert (e1, snap.dist.counts) == (2, {1: 18, 4: 1, 8: 1})
+    assert sim.blocks == 1
+
+
+def test_product_choice_flips_as_the_giant_grows_inside_a_block():
+    """The giant {0..7} grows by one in round 0 (the vectorized pass) and by
+    one in round 1 (the scalar pass). Round 2 offers the giant with a
+    singleton against components of 5 and 2: at the giant's block-start
+    size 8 it would take the second edge, at its true size 10 it ties and
+    takes the first."""
+    rows = [
+        (0, 15, 16, 17),  # 8*1 > 1*1: 15 joins the giant
+        (16, 15, 18, 19),  # 16 was read by round 0; 1*9 > 1*1: 16 joins the giant
+        (0, 20, 8, 13),  # 10*1 >= 5*2: 20 joins the giant
+        (21, 22, 23, 24),  # tie: 21-22
+    ]
+    (batch, scalar), sim = product_on_rows(rows, 30, initial="8:1,5:1,2:1")
+    assert batch == scalar
+    snap, e1, _ = batch
+    assert (e1, snap.dist.counts) == (4, {1: 10, 2: 2, 5: 1, 11: 1})
+    assert sim._size[sim._big] == 11
+
+
 def test_product_snapshot_checks_its_union_find():
-    sim = Simulation(ProcessKind.PRODUCT_RULE, 6)
-    sim._buf = np.array([(0, 1, 2, 3), (0, 1, 0, 1)], dtype=np.int64)
-    sim.advance_to(1)
-    sim.snapshot()
-    child = 1 if sim._parent[1] == 0 else 0
-    sim._parent[child], sim._size[child] = child, 1  # forget that 0 and 1 are joined
-    sim.advance_to(2)  # the forest counts a second merge of 0 and 1
-    with pytest.raises(AssertionError):
+    for later in (
+        [(0, 1, 0, 1)],  # the second merge of 0 and 1 in the vectorized pass
+        [(1, 2, 4, 5), (0, 1, 6, 7)],  # 1 was read by the round before: the scalar pass
+    ):
+        with mock.patch.object(processes, "PRODUCT_BLOCK", 64):
+            sim = Simulation(ProcessKind.PRODUCT_RULE, 8)
+        sim._buf = np.array([(0, 1, 2, 3), *later], dtype=np.int64)
+        sim.advance_to(1)
         sim.snapshot()
+        child = 1 if sim._parent[1] == 0 else 0
+        sim._parent[child], sim._size[child] = child, 1  # forget that 0 and 1 are joined
+        sim.advance_to(1 + len(later))  # the forest counts a second merge of 0 and 1
+        with pytest.raises(AssertionError):
+            sim.snapshot()
 
 
 def test_batch_snapshot_checks_itself():
@@ -383,16 +439,18 @@ def parity_cases(draw):
     schedule = sorted(draw(st.lists(st.integers(0, cap), max_size=4)))
     extra = draw(st.integers(0, n))
     chunk = draw(st.sampled_from([processes.CHUNK, 1, 7, 64]))
+    block = draw(st.sampled_from([processes.PRODUCT_BLOCK, 1, 3, 64]))
     return dict(kind=kind, n=n, initial=initial, loops=draw(st.booleans()),
-                seed=draw(st.integers(0, 2**32)), schedule=schedule, extra=extra), chunk
+                seed=draw(st.integers(0, 2**32)), schedule=schedule, extra=extra), chunk, block
 
 
 @given(parity_cases())
 def test_engine_parity_property(case):
     """Batch equals scalar for any n, rule, loop mode, initial graph, record
-    schedule, continuation and chunk length."""
-    sched, chunk = case
-    with mock.patch.object(processes, "CHUNK", chunk):
+    schedule, continuation, chunk length and product block length."""
+    sched, chunk, block = case
+    with mock.patch.object(processes, "CHUNK", chunk), \
+            mock.patch.object(processes, "PRODUCT_BLOCK", block):
         assert stream_trace(engine="auto", **sched) == stream_trace(engine="python", **sched)
 
 
@@ -415,6 +473,22 @@ def test_poisson_edge_count_rejects_means_numpy_cannot_draw():
             poisson_edge_count(t, 1000, rng)
     with pytest.raises(InvalidConfigError):
         run_process("er-poisson", 1000, t_end=1e300, seed=0)
+
+
+def test_attempts_beyond_the_limit_raise():
+    with mock.patch.object(processes, "MAX_ATTEMPTS", 100):
+        for engine in processes.ENGINES:
+            sim = Simulation(ProcessKind.ER_WITH_REPLACEMENT, 50, engine=engine)
+            sim.advance_to(100)
+            with pytest.raises(InvalidConfigError):
+                sim.advance_to(101)
+            sim.add_er_edges(60)
+            with pytest.raises(InvalidConfigError):
+                sim.add_er_edges(41)  # 101 continuation edges in all
+            assert (sim.m, sim.extra_attempts) == (100, 60)
+        for kind in ("bf", "er-poisson"):
+            with pytest.raises(InvalidConfigError):
+                run_process(kind, 50, t_end=10.0, seed=0)
 
 
 def test_add_er_edges_does_not_touch_e1_count():
