@@ -1,0 +1,45 @@
+"""Small golden CSVs of all six experiments, byte for byte.
+
+They pin the row order, the seed of every replicate and the mean rows of
+each experiment in well under a second, where the committed full-size
+results in scripts/results/ take minutes. To rewrite them after a change
+that is meant to alter the output, run
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from pathlib import Path
+
+import pytest
+
+from percolab.harness import ExperimentConfig, run_experiment, write_csv
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "harness_golden"
+
+SMALL = dict(n=3000, replicates=3, seed=42)
+CONFIGS = {
+    "constants": dict(experiment="constants", n=100, seed=42),
+    "moments": dict(SMALL, experiment="moments", t_grid=[0.25, 0.5, 1.0]),
+    "giant": dict(SMALL, experiment="giant", initial="2:750", t_grid=[0.6, 1.2, 2.0]),
+    "growth": dict(SMALL, experiment="growth", delta_grid=[0.0, 0.05, 0.1, 0.2],
+                   workers=2),
+    "two_phase": dict(SMALL, experiment="two_phase", delta_grid=[0.05, 0.1], workers=2),
+    "variant_agreement": dict(SMALL, experiment="variant_agreement", t_grid=[0.5, 0.9]),
+}
+
+
+def write_golden(name: str, path: Path) -> None:
+    cfg = ExperimentConfig.from_dict(CONFIGS[name])
+    write_csv(run_experiment(cfg).rows, str(path))
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_small_experiment_matches_golden_csv(name, tmp_path):
+    out = tmp_path / f"{name}.csv"
+    write_golden(name, out)
+    assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+
+
+if __name__ == "__main__":
+    for name in CONFIGS:
+        write_golden(name, GOLDEN / f"{name}.csv")
