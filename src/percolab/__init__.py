@@ -56,11 +56,7 @@ from .processes import (
     Simulation,
     Snapshot,
     TraceRecord,
-    bf_step,
-    build_initial_graph,
-    er_step,
     poisson_edge_count,
-    product_rule_step,
     run_process,
 )
 

@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from .errors import InvalidConfigError, NumericalFailureError
-from .processes import ENGINES
+from .processes import ENGINES, ProcessKind
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -31,7 +31,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run one process and print its trace as CSV")
     p_sim.add_argument("--process", required=True,
-                       choices=["er", "er-wr", "er-poisson", "bf", "product"])
+                       choices=[k.value for k in ProcessKind])
     p_sim.add_argument("--n", type=int, required=True)
     p_sim.add_argument("--t", type=float, required=True, help="end process time")
     p_sim.add_argument("--seed", type=int, required=True)

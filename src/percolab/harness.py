@@ -1,30 +1,36 @@
 """Seeded, replicated experiments tying simulation to theory.
 
-Each experiment runs deterministic replicates (run i draws its own
-generator from seed XOR global-run-index), compares observables with
-ODE, fixed-point or closed-form predictions, and writes one flat CSV.
-Reruns with the same config are byte-identical; timestamps live in a
-separate .meta.json sidecar.
+Each experiment is a plain sequence of replicate blocks. A block is a
+list of RunSpecs, one per replicate, mapped over a module-level run
+function; the seed allocator gives the k-th run of the experiment, in
+the order the blocks run, the config seed XOR k. observe() turns each
+block's values into one row per replicate and a mean row with its
+standard error, next to the ODE, fixed-point or closed-form prediction.
+Reruns with the same config write a byte-identical CSV; timestamps live
+in a separate .meta.json sidecar. Both files are replaced atomically.
 """
 from __future__ import annotations
 
 import datetime as _dt
+import itertools
 import json
 import math
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 from pathlib import Path
 
 from .errors import InvalidConfigError, NumericalFailureError
 from .giant import bf_growth_prediction, solve_rho, supercritical_bounds
-from .ledger import SizeDistribution
 from .ode import critical_trajectory, find_tc, sbar_k
 from .processes import (
-    ENGINES,
     InitialGraphSpec,
     ProcessKind,
     Simulation,
+    Snapshot,
+    TraceRecord,
     poisson_edge_count,
     run_process,
 )
@@ -35,6 +41,7 @@ __all__ = [
     "CheckResult",
     "ExperimentConfig",
     "ExperimentOutcome",
+    "RunSpec",
     "run_experiment",
     "write_csv",
     "write_meta",
@@ -53,6 +60,13 @@ EXPERIMENT_NAMES = ("moments", "constants", "giant", "growth", "two_phase",
 SRC_ODE = "ode"
 SRC_FIXED_POINT = "fixed_point"
 SRC_CLOSED_FORM = "closed_form"
+
+# the one process an experiment runs, which `process` may name but not
+# change; giant runs any process and is not listed
+ONLY_PROCESS = {"constants": "", "moments": "bf", "growth": "bf", "two_phase": "bf",
+                "variant_agreement": ""}
+# experiments that always start from the empty graph
+NO_INITIAL = ("constants", "two_phase")
 
 
 @dataclass(frozen=True)
@@ -134,7 +148,6 @@ class ExperimentConfig:
     tol: float = 1.0e-8
     workers: int = 1
     band_coeff: float = 1.0
-    engine: str = "auto"
     slope_max_delta: float = 0.15
     notes: str = ""  # free text, e.g. tolerance rationale; never read by logic
 
@@ -199,11 +212,12 @@ class ExperimentConfig:
                 raise InvalidConfigError("two_phase deltas must lie in (0, 1)")
         if self.process:
             ProcessKind.from_token(self.process)
-        if self.experiment == "moments" and self.process not in ("", "bf"):
-            raise InvalidConfigError("moment convergence is defined for the bf process")
-        InitialGraphSpec.parse(self.initial)
-        if self.engine not in ENGINES:
-            raise InvalidConfigError(f"unknown engine {self.engine!r}")
+        if self.process not in ("", ONLY_PROCESS.get(self.experiment, self.process)):
+            raise InvalidConfigError(f"{self.experiment} does not run process {self.process!r}")
+        if InitialGraphSpec.parse(self.initial).parts and self.experiment in NO_INITIAL:
+            raise InvalidConfigError(
+                f"{self.experiment} starts from the empty graph; initial is not used"
+            )
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -215,6 +229,62 @@ class ExperimentOutcome:
     checks: list[CheckResult]
 
 
+@dataclass(frozen=True)
+class RunSpec:
+    """One replicate run, complete and picklable: what `run_process` needs."""
+
+    kind: ProcessKind
+    n: int
+    seed: int
+    t_end: float
+    record_at: tuple[float, ...] = ()
+    initial: str = ""
+    loops: bool = True
+
+
+def run_spec(spec: RunSpec) -> list[TraceRecord]:
+    return run_process(
+        spec.kind, spec.n, initial=spec.initial, t_end=spec.t_end,
+        record_at=spec.record_at, seed=spec.seed, loops=spec.loops,
+    )
+
+
+def stop_restart(spec: RunSpec, continue_t: float) -> tuple[Snapshot, float]:
+    """Stop the run at spec.t_end, then add Poissonized uniform edges for a
+    further continue_t, thinned by the share of non-isolated pairs; returns
+    the stopped snapshot and the final C1/n."""
+    sim = Simulation(spec.kind, spec.n, initial=spec.initial, seed=spec.seed,
+                     loops=spec.loops)
+    sim.advance_to(math.floor(spec.n * spec.t_end / 2))
+    snap = sim.snapshot()
+    extra = poisson_edge_count((1.0 - snap.x1 * snap.x1) * continue_t, spec.n, sim.rng)
+    sim.add_er_edges(extra)
+    return snap, sim.snapshot().c1 / spec.n
+
+
+def seed_blocks(cfg: ExperimentConfig):
+    """Seeds of successive replicate blocks: the k-th run of an experiment,
+    counted in the order its blocks run, gets the config seed XOR k."""
+    for start in itertools.count(0, cfg.replicates):
+        yield [cfg.seed ^ k for k in range(start, start + cfg.replicates)]
+
+
+def _run_ordered(fn, items: list, workers: int) -> list:
+    if workers <= 1 or len(items) <= 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
+        return list(pool.map(fn, items))
+
+
+def run_block(cfg: ExperimentConfig, seeds, kind: ProcessKind, t_end: float,
+              record_at=(), initial: str = "", run=run_spec) -> tuple[list[int], list]:
+    """Run the next block of replicates; returns their seeds and results."""
+    block = next(seeds)
+    specs = [RunSpec(kind, cfg.n, s, t_end, tuple(record_at), initial, cfg.loops)
+             for s in block]
+    return block, _run_ordered(run, specs, cfg.workers)
+
+
 def _mean_stderr(values: list[float]) -> tuple[float, float]:
     mean = sum(values) / len(values)
     if len(values) < 2:
@@ -223,11 +293,26 @@ def _mean_stderr(values: list[float]) -> tuple[float, float]:
     return mean, math.sqrt(var / len(values))
 
 
-def _run_ordered(fn, count: int, workers: int) -> list:
-    if workers <= 1 or count <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=min(workers, count)) as pool:
-        return list(pool.map(fn, range(count)))
+def summary_row(cfg: ExperimentConfig, at: tuple, observable: str, value,
+                pred=None, src: str = "", stderr=None) -> ResultRow:
+    """A row of the whole experiment (run_id "mean") at (process, t, delta)."""
+    process, t, delta = at
+    return ResultRow(cfg.experiment, "mean", cfg.seed, cfg.n, process, t, delta,
+                     observable, value, pred, src, stderr=stderr)
+
+
+def observe(rows: list[ResultRow], cfg: ExperimentConfig, seeds: list[int],
+            values: list[float], at: tuple, observable: str, pred=None,
+            src: str = "") -> tuple[float, float]:
+    """Append one row per replicate and the mean row with its standard error
+    at (process, t, delta); returns (mean, stderr)."""
+    process, t, delta = at
+    for i, (seed, value) in enumerate(zip(seeds, values)):
+        rows.append(ResultRow(cfg.experiment, str(i), seed, cfg.n, process, t, delta,
+                              observable, value, pred, src))
+    mean, se = _mean_stderr(values)
+    rows.append(summary_row(cfg, at, observable, mean, pred, src, se))
+    return mean, se
 
 
 def _within(name: str, value: float, target: float, rel_tol: float) -> CheckResult:
@@ -248,16 +333,8 @@ def exp_moments(cfg: ExperimentConfig) -> ExperimentOutcome:
         raise InvalidConfigError(
             f"t_grid must stay below tc - 0.05 = {constants.tc - 0.05:.4f}"
         )
-    t_end = cfg.t_grid[-1]
-
-    def one_run(i: int):
-        return run_process(
-            ProcessKind.BOUNDED_SIZE, cfg.n, initial=cfg.initial, t_end=t_end,
-            record_at=tuple(cfg.t_grid), seed=cfg.seed ^ i, loops=cfg.loops,
-            engine=cfg.engine,
-        )
-
-    traces = _run_ordered(one_run, cfg.replicates, cfg.workers)
+    seeds, traces = run_block(cfg, seed_blocks(cfg), ProcessKind.BOUNDED_SIZE,
+                              cfg.t_grid[-1], cfg.t_grid, cfg.initial)
     rows: list[ResultRow] = []
     checks: list[CheckResult] = []
     for j, t in enumerate(cfg.t_grid):
@@ -265,17 +342,8 @@ def exp_moments(cfg: ExperimentConfig) -> ExperimentOutcome:
         s2p, s3p, s4p = sbar_k(traj, t_rec)
         preds = {"x1": traj.xbar(t_rec), "s2": s2p, "s3": s3p, "s4": s4p}
         for obs, pred in preds.items():
-            vals = [getattr(traces[i][j], obs) for i in range(cfg.replicates)]
-            for i, v in enumerate(vals):
-                rows.append(ResultRow(
-                    cfg.experiment, str(i), cfg.seed ^ i, cfg.n, "bf", t_rec, None,
-                    obs, v, pred, SRC_ODE,
-                ))
-            mean, se = _mean_stderr(vals)
-            rows.append(ResultRow(
-                cfg.experiment, "mean", cfg.seed, cfg.n, "bf", t_rec, None,
-                obs, mean, pred, SRC_ODE, stderr=se,
-            ))
+            mean, _ = observe(rows, cfg, seeds, [getattr(tr[j], obs) for tr in traces],
+                              ("bf", t_rec, None), obs, pred, SRC_ODE)
             checks.append(_within(f"moments t={t:g} mean {obs} vs ode", mean, pred, 0.02))
     return ExperimentOutcome(rows, checks)
 
@@ -314,53 +382,31 @@ def exp_constants(cfg: ExperimentConfig) -> ExperimentOutcome:
 
 def exp_giant(cfg: ExperimentConfig) -> ExperimentOutcome:
     """Giant component after adding uniform edges to an initial graph."""
-    process = cfg.process or ProcessKind.ER_POISSON_TIME.value
-    spec = InitialGraphSpec.parse(cfg.initial)
-    dist0 = spec.to_distribution(cfg.n)
+    kind = ProcessKind.from_token(cfg.process or ProcessKind.ER_POISSON_TIME.value)
+    dist0 = InitialGraphSpec.parse(cfg.initial).to_distribution(cfg.n)
     s2, s3, s4 = (dist0.s(k) for k in (2, 3, 4))
-    t_end = cfg.t_grid[-1]
-
-    def one_run(i: int):
-        return run_process(
-            process, cfg.n, initial=spec, t_end=t_end, record_at=tuple(cfg.t_grid),
-            seed=cfg.seed ^ i, loops=cfg.loops, engine=cfg.engine,
-        )
-
-    traces = _run_ordered(one_run, cfg.replicates, cfg.workers)
+    seeds, traces = run_block(cfg, seed_blocks(cfg), kind, cfg.t_grid[-1], cfg.t_grid,
+                              cfg.initial)
     rows: list[ResultRow] = []
     checks: list[CheckResult] = []
     for j, t in enumerate(cfg.t_grid):
         fp = solve_rho(dist0, t)
-        vals = [traces[i][j].c1_frac for i in range(cfg.replicates)]
-        for i, v in enumerate(vals):
-            rows.append(ResultRow(
-                cfg.experiment, str(i), cfg.seed ^ i, cfg.n, process, t, None,
-                "c1_frac", v, fp.rho, SRC_FIXED_POINT,
-            ))
-        mean, se = _mean_stderr(vals)
-        rows.append(ResultRow(
-            cfg.experiment, "mean", cfg.seed, cfg.n, process, t, None,
-            "c1_frac", mean, fp.rho, SRC_FIXED_POINT, stderr=se,
-        ))
+        at = (kind.value, t, None)
+        mean, _ = observe(rows, cfg, seeds, [tr[j].c1_frac for tr in traces], at,
+                          "c1_frac", fp.rho, SRC_FIXED_POINT)
         if fp.rho > 0.0:
             bounds = supercritical_bounds(s2, s3, s4, t)
-            rows.append(ResultRow(
-                cfg.experiment, "mean", cfg.seed, cfg.n, process, t, None,
-                "c1_frac_lower_bound", None, bounds.lower, SRC_CLOSED_FORM,
-            ))
-            lo_ok = mean >= bounds.lower - 0.01
-            hi_ok = True
+            rows.append(summary_row(cfg, at, "c1_frac_lower_bound", None, bounds.lower,
+                                    SRC_CLOSED_FORM))
+            ok = mean >= bounds.lower - 0.01
             detail = f"mean={mean:.5f} lower={bounds.lower:.5f}"
             if bounds.upper_valid:
-                rows.append(ResultRow(
-                    cfg.experiment, "mean", cfg.seed, cfg.n, process, t, None,
-                    "c1_frac_upper_bound", None, bounds.upper, SRC_CLOSED_FORM,
-                ))
-                hi_ok = mean <= bounds.upper + 0.01
+                rows.append(summary_row(cfg, at, "c1_frac_upper_bound", None, bounds.upper,
+                                        SRC_CLOSED_FORM))
+                ok = ok and mean <= bounds.upper + 0.01
                 detail += f" upper={bounds.upper:.5f}"
             checks.append(CheckResult(
-                f"giant t={t:g} mean c1_frac within closed-form bounds (+-0.01)",
-                lo_ok and hi_ok, detail,
+                f"giant t={t:g} mean c1_frac within closed-form bounds (+-0.01)", ok, detail,
             ))
             checks.append(CheckResult(
                 f"giant t={t:g} mean c1_frac vs fixed point (0.01 absolute)",
@@ -405,46 +451,26 @@ def exp_growth(cfg: ExperimentConfig) -> ExperimentOutcome:
     window's local derivative.
     """
     constants = find_tc(cfg.tol)
+    seeds = seed_blocks(cfg)
     rows: list[ResultRow] = []
     checks: list[CheckResult] = []
-    run_counter = 0
     means: dict[float, float] = {}
     for delta in cfg.delta_grid:
         t = constants.tc + delta
-
-        def one_run(i: int, _t=t, _base=run_counter):
-            trace = run_process(
-                ProcessKind.BOUNDED_SIZE, cfg.n, initial=cfg.initial, t_end=_t,
-                record_at=(_t,), seed=cfg.seed ^ (_base + i), loops=cfg.loops,
-                engine=cfg.engine,
-            )
-            return trace[-1].c1_frac
-
-        vals = _run_ordered(one_run, cfg.replicates, cfg.workers)
+        block, traces = run_block(cfg, seeds, ProcessKind.BOUNDED_SIZE, t, (t,), cfg.initial)
+        center = halfwidth = None
         if 0 < delta <= cfg.slope_max_delta + 1e-12:
             center, halfwidth = bf_growth_prediction(constants, delta, cfg.band_coeff)
-        else:
-            # far from the transition the linear law is conjecture only,
-            # so those rows carry raw values without a prediction
-            center = halfwidth = None
-        for i, v in enumerate(vals):
-            rows.append(ResultRow(
-                cfg.experiment, str(i), cfg.seed ^ (run_counter + i), cfg.n, "bf",
-                t, delta, "c1_frac", v, center, SRC_ODE if center is not None else "",
-            ))
-        mean, se = _mean_stderr(vals)
+        # far from the transition the linear law is conjecture only, so those
+        # rows carry raw values without a prediction
+        src = SRC_ODE if center is not None else ""
+        at = ("bf", t, delta)
+        mean, _ = observe(rows, cfg, block, [tr[-1].c1_frac for tr in traces], at,
+                          "c1_frac", center, src)
         means[delta] = mean
-        rows.append(ResultRow(
-            cfg.experiment, "mean", cfg.seed, cfg.n, "bf", t, delta,
-            "c1_frac", mean, center, SRC_ODE if center is not None else "",
-            stderr=se,
-        ))
         if halfwidth is not None:
-            rows.append(ResultRow(
-                cfg.experiment, "mean", cfg.seed, cfg.n, "bf", t, delta,
-                "band_halfwidth", None, halfwidth, SRC_CLOSED_FORM,
-            ))
-        run_counter += cfg.replicates
+            rows.append(summary_row(cfg, at, "band_halfwidth", None, halfwidth,
+                                    SRC_CLOSED_FORM))
         if delta == 0.1 and center is not None:
             checks.append(_within(
                 "growth delta=0.1 mean c1_frac vs gamma*delta", mean, center, 0.15
@@ -459,24 +485,32 @@ def exp_growth(cfg: ExperimentConfig) -> ExperimentOutcome:
         origin, local, exponent = _fit_slopes(
             fit_ds, [means[d] for d in fit_ds], constants.gamma
         )
-        rows.append(ResultRow(
-            cfg.experiment, "mean", cfg.seed, cfg.n, "bf", None, None,
-            "slope", origin, constants.gamma, SRC_ODE,
-        ))
+        at = ("bf", None, None)
+        rows.append(summary_row(cfg, at, "slope", origin, constants.gamma, SRC_ODE))
         checks.append(_within(
             "growth fitted slope vs gamma", origin, constants.gamma, 0.20
         ))
         if local is not None:
-            rows.append(ResultRow(
-                cfg.experiment, "mean", cfg.seed, cfg.n, "bf", None, None,
-                "local_slope", local,
-            ))
+            rows.append(summary_row(cfg, at, "local_slope", local))
         if exponent is not None:
-            rows.append(ResultRow(
-                cfg.experiment, "mean", cfg.seed, cfg.n, "bf", None, None,
-                "excess_exponent", exponent,
-            ))
+            rows.append(summary_row(cfg, at, "excess_exponent", exponent))
     return ExperimentOutcome(rows, checks)
+
+
+def _stopped_observables(snap: Snapshot) -> dict[str, float]:
+    return {
+        "x1_stopped": snap.x1,
+        "s2_stopped": snap.s(2),
+        "s3_stopped": snap.s(3),
+        "s4_stopped": snap.s(4),
+        "s3_ratio": snap.s(3) / snap.s(2) ** 3,
+        "s4_ratio": snap.s(4) / snap.s(2) ** 5,
+    }
+
+
+# the stopped observables two_phase checks, and how the check names them
+_STOPPED_CHECKS = {"s2_stopped": "stopped s2 vs alpha/eps",
+                   "s3_ratio": "stopped s3/s2^3 vs beta"}
 
 
 def exp_two_phase(cfg: ExperimentConfig) -> ExperimentOutcome:
@@ -484,9 +518,10 @@ def exp_two_phase(cfg: ExperimentConfig) -> ExperimentOutcome:
     thinned Poisson uniform edges, compare with the direct run."""
     constants = find_tc(cfg.tol)
     traj = critical_trajectory()
+    alpha, beta = constants.alpha, constants.beta
+    seeds = seed_blocks(cfg)
     rows: list[ResultRow] = []
     checks: list[CheckResult] = []
-    run_counter = 0
     for delta in cfg.delta_grid:
         eps = delta ** (2.0 / 3.0)
         t_stop = constants.tc - eps
@@ -495,35 +530,11 @@ def exp_two_phase(cfg: ExperimentConfig) -> ExperimentOutcome:
             raise InvalidConfigError(
                 f"delta={delta:g} stops at t={t_stop:.3f}; too close to the start"
             )
-
-        def direct_run(i: int, _base=run_counter):
-            trace = run_process(
-                ProcessKind.BOUNDED_SIZE, cfg.n, t_end=t_final, record_at=(t_final,),
-                seed=cfg.seed ^ (_base + i), loops=cfg.loops, engine=cfg.engine,
-            )
-            return trace[-1].c1_frac
-
-        direct_vals = _run_ordered(direct_run, cfg.replicates, cfg.workers)
-        run_counter += cfg.replicates
-
-        def stopped_run(i: int, _base=run_counter):
-            sim = Simulation(
-                ProcessKind.BOUNDED_SIZE, cfg.n, seed=cfg.seed ^ (_base + i),
-                loops=cfg.loops, engine=cfg.engine,
-            )
-            sim.advance_to(int(math.floor(cfg.n * t_stop / 2)))
-            snap = sim.snapshot()
-            x1 = snap.x1
-            extra = poisson_edge_count((1.0 - x1 * x1) * (eps + delta), cfg.n, sim.rng)
-            sim.add_er_edges(extra)
-            final = sim.snapshot()
-            return snap, final.c1 / cfg.n
-
-        stopped = _run_ordered(stopped_run, cfg.replicates, cfg.workers)
-        run_counter += cfg.replicates
-
-        alpha, beta = constants.alpha, constants.beta
-        stopped_preds = {
+        direct_seeds, direct = run_block(cfg, seeds, ProcessKind.BOUNDED_SIZE, t_final,
+                                         (t_final,))
+        stop_seeds, stopped = run_block(cfg, seeds, ProcessKind.BOUNDED_SIZE, t_stop,
+                                        run=partial(stop_restart, continue_t=eps + delta))
+        preds = {
             "x1_stopped": traj.xbar(t_stop),
             "s2_stopped": alpha / eps,
             "s3_stopped": beta * alpha**3 / eps**3,
@@ -531,61 +542,20 @@ def exp_two_phase(cfg: ExperimentConfig) -> ExperimentOutcome:
             "s3_ratio": beta,
             "s4_ratio": 3.0 * beta**2,
         }
-
-        def observe(snap) -> dict[str, float]:
-            return {
-                "x1_stopped": snap.x1,
-                "s2_stopped": snap.s(2),
-                "s3_stopped": snap.s(3),
-                "s4_stopped": snap.s(4),
-                "s3_ratio": snap.s(3) / snap.s(2) ** 3,
-                "s4_ratio": snap.s(4) / snap.s(2) ** 5,
-            }
-
-        observed = [observe(s) for s, _ in stopped]
-        base = run_counter - cfg.replicates
-        for obs, pred in stopped_preds.items():
-            vals = [o[obs] for o in observed]
-            for i, v in enumerate(vals):
-                rows.append(ResultRow(
-                    cfg.experiment, str(i), cfg.seed ^ (base + i), cfg.n, "bf",
-                    t_stop, delta, obs, v, pred, SRC_ODE,
-                ))
-            mean, se = _mean_stderr(vals)
-            rows.append(ResultRow(
-                cfg.experiment, "mean", cfg.seed, cfg.n, "bf", t_stop, delta,
-                obs, mean, pred, SRC_ODE, stderr=se,
-            ))
-            if obs == "s2_stopped":
+        observed = [_stopped_observables(snap) for snap, _ in stopped]
+        for obs, pred in preds.items():
+            mean, _ = observe(rows, cfg, stop_seeds, [o[obs] for o in observed],
+                              ("bf", t_stop, delta), obs, pred, SRC_ODE)
+            if obs in _STOPPED_CHECKS:
                 checks.append(_within(
-                    f"two_phase delta={delta:g} stopped s2 vs alpha/eps", mean, pred, 0.15
-                ))
-            if obs == "s3_ratio":
-                checks.append(_within(
-                    f"two_phase delta={delta:g} stopped s3/s2^3 vs beta", mean, pred, 0.15
+                    f"two_phase delta={delta:g} {_STOPPED_CHECKS[obs]}", mean, pred, 0.15
                 ))
         center, _ = bf_growth_prediction(constants, delta, cfg.band_coeff)
-        tp_vals = [c for _, c in stopped]
-        for i, v in enumerate(direct_vals):
-            rows.append(ResultRow(
-                cfg.experiment, str(i), cfg.seed ^ (base - cfg.replicates + i), cfg.n,
-                "bf", t_final, delta, "c1_frac_direct", v, center, SRC_ODE,
-            ))
-        dmean, dse = _mean_stderr(direct_vals)
-        rows.append(ResultRow(
-            cfg.experiment, "mean", cfg.seed, cfg.n, "bf", t_final, delta,
-            "c1_frac_direct", dmean, center, SRC_ODE, stderr=dse,
-        ))
-        for i, v in enumerate(tp_vals):
-            rows.append(ResultRow(
-                cfg.experiment, str(i), cfg.seed ^ (base + i), cfg.n, "bf",
-                t_final, delta, "c1_frac_two_phase", v, center, SRC_ODE,
-            ))
-        tmean, tse = _mean_stderr(tp_vals)
-        rows.append(ResultRow(
-            cfg.experiment, "mean", cfg.seed, cfg.n, "bf", t_final, delta,
-            "c1_frac_two_phase", tmean, center, SRC_ODE, stderr=tse,
-        ))
+        at = ("bf", t_final, delta)
+        dmean, dse = observe(rows, cfg, direct_seeds, [tr[-1].c1_frac for tr in direct], at,
+                             "c1_frac_direct", center, SRC_ODE)
+        tmean, tse = observe(rows, cfg, stop_seeds, [c1 for _, c1 in stopped], at,
+                             "c1_frac_two_phase", center, SRC_ODE)
         allow = 3.0 * math.sqrt(dse * dse + tse * tse) + 0.02
         checks.append(CheckResult(
             f"two_phase delta={delta:g} construction agrees with direct run",
@@ -603,53 +573,29 @@ def exp_variant_agreement(cfg: ExperimentConfig) -> ExperimentOutcome:
         ProcessKind.ER_WITH_REPLACEMENT,
         ProcessKind.ER_POISSON_TIME,
     )
-    spec = InitialGraphSpec.parse(cfg.initial)
-    t_end = cfg.t_grid[-1]
+    empty = not InitialGraphSpec.parse(cfg.initial).parts
+    seeds = seed_blocks(cfg)
     rows: list[ResultRow] = []
     checks: list[CheckResult] = []
-    per_variant: dict[str, list[list[float]]] = {}
-    for vi, kind in enumerate(variants):
-        base = vi * cfg.replicates
-
-        def one_run(i: int, _kind=kind, _base=base):
-            return run_process(
-                _kind, cfg.n, initial=spec, t_end=t_end, record_at=tuple(cfg.t_grid),
-                seed=cfg.seed ^ (_base + i), loops=cfg.loops, engine=cfg.engine,
-            )
-
-        traces = _run_ordered(one_run, cfg.replicates, cfg.workers)
-        stats = []
+    stats: dict[ProcessKind, list[tuple[float, float]]] = {}
+    for kind in variants:
+        block, traces = run_block(cfg, seeds, kind, cfg.t_grid[-1], cfg.t_grid, cfg.initial)
+        stats[kind] = []
         for j, t in enumerate(cfg.t_grid):
-            pred = None
-            src = ""
-            if not spec.parts and t < 1.0:
-                pred = 1.0 / (1.0 - t)  # subcritical uniform-edge susceptibility
-                src = SRC_CLOSED_FORM
-            vals = [traces[i][j].s2 for i in range(cfg.replicates)]
-            for i, v in enumerate(vals):
-                rows.append(ResultRow(
-                    cfg.experiment, str(i), cfg.seed ^ (base + i), cfg.n, kind.value,
-                    t, None, "s2", v, pred, src,
-                ))
-            mean, se = _mean_stderr(vals)
-            stats.append((mean, se))
-            rows.append(ResultRow(
-                cfg.experiment, "mean", cfg.seed, cfg.n, kind.value, t, None,
-                "s2", mean, pred, src, stderr=se,
-            ))
-        per_variant[kind.value] = stats
-    tokens = [k.value for k in variants]
+            pred, src = None, ""
+            if empty and t < 1.0:
+                pred, src = 1.0 / (1.0 - t), SRC_CLOSED_FORM  # subcritical susceptibility
+            stats[kind].append(observe(rows, cfg, block, [tr[j].s2 for tr in traces],
+                                       (kind.value, t, None), "s2", pred, src))
     for j, t in enumerate(cfg.t_grid):
-        for a in range(len(tokens)):
-            for b in range(a + 1, len(tokens)):
-                ma, sa = per_variant[tokens[a]][j]
-                mb, sb = per_variant[tokens[b]][j]
-                allow = 3.0 * math.sqrt(sa * sa + sb * sb)
-                checks.append(CheckResult(
-                    f"variants {tokens[a]} vs {tokens[b]} mean s2 at t={t:g}",
-                    abs(ma - mb) <= allow,
-                    f"|diff|={abs(ma - mb):.5g} allow={allow:.5g}",
-                ))
+        for a, b in itertools.combinations(variants, 2):
+            (ma, sa), (mb, sb) = stats[a][j], stats[b][j]
+            allow = 3.0 * math.sqrt(sa * sa + sb * sb)
+            checks.append(CheckResult(
+                f"variants {a.value} vs {b.value} mean s2 at t={t:g}",
+                abs(ma - mb) <= allow,
+                f"|diff|={abs(ma - mb):.5g} allow={allow:.5g}",
+            ))
     return ExperimentOutcome(rows, checks)
 
 
@@ -668,12 +614,24 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentOutcome:
     return _EXPERIMENTS[cfg.experiment](cfg)
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    """Write a temp file beside path, then rename it over path: a reader
+    sees the old file or the new one, never a part, and a failed write
+    leaves the old file and no temp file."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_csv(rows: list[ResultRow], path: str) -> None:
     lines = [",".join(CSV_COLUMNS)]
     lines.extend(",".join(row.csv_cells()) for row in rows)
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text("\n".join(lines) + "\n")
+    _write_atomic(Path(path), "\n".join(lines) + "\n")
 
 
 def write_meta(csv_path: str, cfg: ExperimentConfig, elapsed: float,
@@ -694,7 +652,7 @@ def write_meta(csv_path: str, cfg: ExperimentConfig, elapsed: float,
             for c in checks
         ],
     }
-    Path(csv_path + ".meta.json").write_text(json.dumps(meta, indent=2) + "\n")
+    _write_atomic(Path(csv_path + ".meta.json"), json.dumps(meta, indent=2) + "\n")
 
 
 def run_config(cfg: ExperimentConfig, check: bool = False, quiet: bool = False) -> int:

@@ -35,15 +35,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .errors import InvalidConfigError
-from .ledger import (
-    DisjointSetForest,
-    MergeOutcome,
-    MomentLedger,
-    SizeDistribution,
-    add_edge,
-    ledger_init,
-    snapshot_distribution,
-)
+from .ledger import SizeDistribution, add_edge, ledger_init, snapshot_distribution
 
 __all__ = [
     "ENGINES",
@@ -53,11 +45,7 @@ __all__ = [
     "Snapshot",
     "Simulation",
     "run_process",
-    "build_initial_graph",
     "poisson_edge_count",
-    "er_step",
-    "bf_step",
-    "product_rule_step",
 ]
 
 CHUNK = 1 << 18  # proposal rows drawn per generator call
@@ -151,14 +139,6 @@ class InitialGraphSpec:
     def path_edges(self) -> list[tuple[int, int]]:
         """Edges (v, v+1) of the path realization, in construction order."""
         return [(v, v + 1) for v in self.path_lows().tolist()]
-
-
-def build_initial_graph(spec: InitialGraphSpec, n: int, forest: DisjointSetForest,
-                        ledger: MomentLedger) -> None:
-    """Realize the component layout on a fresh forest via ordinary edge insertions."""
-    spec.validate_for(n)
-    for u, v in spec.path_edges():
-        add_edge(forest, ledger, u, v)
 
 
 def poisson_edge_count(t: float, n: int, rng: np.random.Generator) -> int:
@@ -276,10 +256,12 @@ class Simulation:
 
     def _init_scalar(self) -> None:
         self.forest, self.ledger = ledger_init(self.n)
-        build_initial_graph(self.initial, self.n, self.forest, self.ledger)
+        edges = self.initial.path_edges()
+        for u, v in edges:
+            add_edge(self.forest, self.ledger, u, v)
         self._seen: set[int] | None = None
         if self.kind is ProcessKind.ER_WITHOUT_REPLACEMENT:
-            self._seen = {u * self.n + v for u, v in self.initial.path_edges()}
+            self._seen = {u * self.n + v for u, v in edges}
 
     def _init_batch(self) -> None:
         n = self.n
@@ -693,60 +675,3 @@ def run_process(kind: ProcessKind | str, n: int, initial: InitialGraphSpec | str
             records.append(sim.snapshot().trace(2 * m_i / n))
         sim.advance_to(m_end)
     return records
-
-
-# -- single-step operations for small-scale work and tests ----------------
-
-
-def er_step(forest: DisjointSetForest, ledger: MomentLedger, rng: np.random.Generator,
-            kind: ProcessKind = ProcessKind.ER_WITH_REPLACEMENT,
-            seen: set[int] | None = None) -> MergeOutcome:
-    """One uniform edge proposal; resamples loops (and, without
-    replacement, already-present edges)."""
-    n = forest.n
-    if kind is ProcessKind.ER_WITHOUT_REPLACEMENT and seen is None:
-        raise InvalidConfigError("without-replacement stepping needs a seen-edge set")
-    while True:
-        u, v = (int(x) for x in rng.integers(0, n, size=2))
-        if u == v:
-            continue
-        if kind is ProcessKind.ER_WITHOUT_REPLACEMENT:
-            key = u * n + v if u < v else v * n + u
-            if key in seen:
-                continue
-            seen.add(key)
-        return add_edge(forest, ledger, u, v)
-
-
-def _two_choice_step(forest, ledger, rng, loops, choose_first) -> MergeOutcome:
-    while True:
-        v1, w1, v2, w2 = (int(x) for x in rng.integers(0, forest.n, size=4))
-        if not loops and (v1 == w1 or v2 == w2):
-            continue
-        if choose_first(forest, v1, w1, v2, w2):
-            return add_edge(forest, ledger, v1, w1)
-        return add_edge(forest, ledger, v2, w2)
-
-
-def bf_step(forest: DisjointSetForest, ledger: MomentLedger, rng: np.random.Generator,
-            loops: bool = True) -> MergeOutcome:
-    """One two-choice round: first edge iff both its endpoints are isolated."""
-
-    def choose(forest, v1, w1, v2, w2):
-        return (forest.comp_size[forest.find(v1)] == 1
-                and forest.comp_size[forest.find(w1)] == 1)
-
-    return _two_choice_step(forest, ledger, rng, loops, choose)
-
-
-def product_rule_step(forest: DisjointSetForest, ledger: MomentLedger,
-                      rng: np.random.Generator, loops: bool = True) -> MergeOutcome:
-    """One two-choice round keeping the larger component-size product; ties
-    go to the first edge."""
-
-    def choose(forest, v1, w1, v2, w2):
-        p1 = forest.comp_size[forest.find(v1)] * forest.comp_size[forest.find(w1)]
-        p2 = forest.comp_size[forest.find(v2)] * forest.comp_size[forest.find(w2)]
-        return p1 >= p2
-
-    return _two_choice_step(forest, ledger, rng, loops, choose)

@@ -1,21 +1,28 @@
 """Experiment configs, CSV output contract, determinism and CLI exit codes."""
 
 import csv
+import itertools
 import json
+import os
+import pickle
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 from conftest import child_env
 
-from percolab import InvalidConfigError, SizeDistribution
+from percolab import InvalidConfigError, ProcessKind, SizeDistribution
 from percolab.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
     ResultRow,
+    RunSpec,
     run_config,
     run_experiment,
+    seed_blocks,
     write_csv,
+    write_meta,
 )
 
 HEADER = "experiment,run_id,seed,n,process,t,delta,observable,value,prediction,pred_source,abs_err,rel_err,stderr"
@@ -76,6 +83,13 @@ def test_config_from_dict_requires_experiment_and_n():
     {"t_grid": [0.5, "1.0"]},
     {"t_grid": [float("nan")]},
     {"initial": 3},
+    # process and initial only where the experiment uses them
+    {"experiment": "constants", "process": "bf"},
+    {"experiment": "growth", "delta_grid": [0.1], "process": "product"},
+    {"experiment": "two_phase", "delta_grid": [0.1], "process": "er"},
+    {"experiment": "variant_agreement", "process": "er"},
+    {"experiment": "constants", "initial": "2:10"},
+    {"experiment": "two_phase", "delta_grid": [0.1], "initial": "2:10"},
 ])
 def test_config_validate_rejects(patch):
     base = {"experiment": "moments", "n": 1000, "t_grid": [0.5]}
@@ -84,12 +98,35 @@ def test_config_validate_rejects(patch):
         ExperimentConfig.from_dict(base)
 
 
+def test_config_accepts_the_process_an_experiment_runs():
+    for experiment, extra in (("moments", {"t_grid": [0.5]}),
+                              ("growth", {"delta_grid": [0.1]}),
+                              ("two_phase", {"delta_grid": [0.1]})):
+        ExperimentConfig.from_dict({"experiment": experiment, "n": 1000, "process": "bf",
+                                    **extra})
+
+
 def test_config_roundtrips_through_dict():
     cfg = ExperimentConfig.from_dict(
         {"experiment": "giant", "n": 1000, "t_grid": [1.5], "seed": 9}
     )
     again = ExperimentConfig.from_dict(cfg.to_dict())
     assert again == cfg
+
+
+# ---------------------------------------------------------------------------
+# run specs and seeds
+
+def test_run_spec_pickles():
+    spec = RunSpec(ProcessKind.BOUNDED_SIZE, 1000, 43, 1.2, (0.5, 1.2), "2:10", False)
+    assert pickle.loads(pickle.dumps(spec)) == spec
+
+
+def test_seed_blocks_are_consecutive_run_indices():
+    cfg = ExperimentConfig.from_dict({"experiment": "growth", "n": 1000, "replicates": 3,
+                                      "seed": 42, "delta_grid": [0.1]})
+    blocks = list(itertools.islice(seed_blocks(cfg), 3))
+    assert blocks == [[42, 43, 40], [41, 46, 47], [44, 45, 34]]  # 42 ^ 0 .. 42 ^ 8
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +224,24 @@ def test_run_config_writes_meta_sidecar(tmp_path):
     assert meta["config"]["experiment"] == "constants"
     assert all(c["passed"] for c in meta["checks"])
     assert meta["versions"]["numpy"]
+
+
+def test_failed_writes_keep_the_old_files(tiny_variant_outcome, tmp_path):
+    cfg, outcome = tiny_variant_outcome
+    path = tmp_path / "out.csv"
+    meta = tmp_path / "out.csv.meta.json"
+    path.write_text("old csv\n")
+    meta.write_text("old meta\n")
+    with mock.patch.object(os, "replace", side_effect=OSError("disk full")):
+        with pytest.raises(OSError):
+            write_csv(outcome.rows, str(path))
+        with pytest.raises(OSError):
+            write_meta(str(path), cfg, 0.0, outcome.checks)
+    assert path.read_text() == "old csv\n"
+    assert meta.read_text() == "old meta\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out.csv.meta.json"]
+    write_csv(outcome.rows, str(path))
+    assert path.read_text().startswith(HEADER)
 
 
 def test_check_fails_when_the_experiment_emits_no_check(tmp_path, capsys):

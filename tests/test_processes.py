@@ -11,47 +11,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import simpson
 
-import percolab
 from percolab import (
     InitialGraphSpec,
     InvalidConfigError,
-    MergeOutcome,
     ProcessKind,
     Simulation,
-    bf_step,
-    er_step,
-    ledger_init,
     poisson_edge_count,
-    product_rule_step,
     run_process,
 )
 from percolab import processes
 from percolab.harness import ExperimentConfig, ResultRow, run_experiment
 
 ALL_KINDS = list(ProcessKind)
-
-
-class QueuedRng:
-    """Stand-in generator feeding predetermined vertex draws to step functions."""
-
-    def __init__(self, rows):
-        self.rows = list(rows)
-
-    def integers(self, low, high, size):
-        row = self.rows.pop(0)
-        assert len(row) == size
-        return np.asarray(row, dtype=np.int64)
-
-
-def make_blocks(n, block_sizes):
-    """Forest with consecutive blocks of the given sizes, singletons after."""
-    forest, led = ledger_init(n)
-    v = 0
-    for b in block_sizes:
-        for i in range(v, v + b - 1):
-            percolab.add_edge(forest, led, i, i + 1)
-        v += b
-    return forest, led
 
 
 # ---------------------------------------------------------------------------
@@ -87,68 +58,70 @@ def test_initial_spec_path_edges_are_consecutive_blocks():
 
 
 # ---------------------------------------------------------------------------
-# single-step rule semantics with scripted draws
+# rule semantics on scripted rows, on both engines
+
+def play_rows(kind, rows, rounds, n=12, initial="4:2", loops=True, one_by_one=False):
+    """Play hand-made rows (they stand in for the drawn chunk) for `rounds`
+    rounds on both engines, in one advance or one round per advance. Both
+    must agree on the component sizes, isolated vertices, rounds attempted,
+    first-edge rounds and rows consumed; that common result is returned."""
+    out = []
+    for engine in processes.ENGINES:
+        sim = Simulation(ProcessKind.from_token(kind), n, initial=initial, loops=loops,
+                         engine=engine)
+        sim._buf = np.array(rows, dtype=np.int64)
+        for m in range(1, rounds + 1) if one_by_one else (rounds,):
+            sim.advance_to(m)
+        snap = sim.snapshot()
+        out.append((snap.dist.counts, snap.n1, sim.m, sim.e1_rounds, sim._pos))
+    assert out[0] == out[1]
+    return out[0]
+
 
 def test_er_step_skips_loops_without_counting():
-    forest, led = ledger_init(5)
-    out = er_step(forest, led, QueuedRng([(3, 3), (0, 1)]))
-    assert out == MergeOutcome(MergeOutcome.MERGED, 1, 1)
-    assert led.edge_insertions == 1
+    for kind in ("er", "er-wr", "er-poisson"):
+        counts, _, m, _, pos = play_rows(kind, [(3, 3), (0, 1)], 1, n=5, initial="")
+        assert (counts, m, pos) == ({1: 3, 2: 1}, 1, 2)
 
 
 def test_er_step_without_replacement_resamples_present_edges():
-    forest, led = ledger_init(5)
-    seen = set()
-    er_step(forest, led, QueuedRng([(0, 1)]),
-            kind=ProcessKind.ER_WITHOUT_REPLACEMENT, seen=seen)
-    out = er_step(forest, led, QueuedRng([(1, 0), (1, 2)]),
-                  kind=ProcessKind.ER_WITHOUT_REPLACEMENT, seen=seen)
-    assert out == MergeOutcome(MergeOutcome.MERGED, 2, 1)
-    assert led.edge_insertions == 2
+    # in one advance the repeat is in the same slice as the first proposal of
+    # the pair; one round per advance finds it among the edges already present
+    for one_by_one in (False, True):
+        counts, _, m, _, pos = play_rows("er", [(0, 1), (1, 0), (1, 2)], 2, n=5, initial="",
+                                         one_by_one=one_by_one)
+        assert (counts, m, pos) == ({1: 2, 3: 1}, 2, 3)
+    # an initial edge is present from the start
+    counts, _, m, _, pos = play_rows("er", [(1, 0), (1, 2)], 1, n=5, initial="2:1")
+    assert (counts, m, pos) == ({1: 2, 3: 1}, 1, 2)
 
 
 def test_bf_step_takes_first_edge_iff_both_isolated():
-    forest, led = make_blocks(12, [4, 4])
-    out = bf_step(forest, led, QueuedRng([(8, 9, 0, 1)]))
-    assert out == MergeOutcome(MergeOutcome.MERGED, 1, 1)  # 8 and 9 isolated
-
-    forest, led = make_blocks(12, [4, 4])
-    out = bf_step(forest, led, QueuedRng([(0, 8, 9, 10)]))
-    assert out == MergeOutcome(MergeOutcome.MERGED, 1, 1)  # falls through to 9-10
-    assert led.n1_isolated == 2
+    counts, n1, _, e1, _ = play_rows("bf", [(8, 9, 0, 1)], 1)
+    assert (counts, n1, e1) == ({1: 2, 2: 1, 4: 2}, 2, 1)  # 8 and 9 isolated
+    counts, n1, _, e1, _ = play_rows("bf", [(0, 8, 9, 10)], 1)
+    assert (counts, n1, e1) == ({1: 2, 2: 1, 4: 2}, 2, 0)  # falls through to 9-10
 
 
 def test_bf_step_chosen_loop_is_a_noop_round():
     # v1 == w1 isolated counts as both isolated; the chosen edge is a loop
-    forest, led = make_blocks(12, [4, 4])
-    base = led.edge_insertions
-    out = bf_step(forest, led, QueuedRng([(8, 8, 0, 1)]))
-    assert out.kind == MergeOutcome.LOOP
-    assert led.edge_insertions == base + 1
+    counts, n1, m, e1, pos = play_rows("bf", [(8, 8, 0, 1)], 1)
+    assert (counts, n1, m, e1, pos) == ({1: 4, 4: 2}, 4, 1, 1, 1)
 
 
 def test_bf_step_loopless_mode_resamples_whole_round():
-    forest, led = make_blocks(12, [4, 4])
-    base = led.edge_insertions
-    out = bf_step(forest, led, QueuedRng([(8, 8, 0, 1), (9, 10, 2, 3)]),
-                  loops=False)
-    assert out == MergeOutcome(MergeOutcome.MERGED, 1, 1)
-    assert led.edge_insertions == base + 1
+    counts, n1, m, e1, pos = play_rows("bf", [(8, 8, 0, 1), (9, 10, 2, 3)], 1, loops=False)
+    assert (counts, n1, m, e1, pos) == ({1: 2, 2: 1, 4: 2}, 2, 1, 1, 2)
 
 
 def test_product_rule_prefers_larger_product_ties_first():
-    forest, led = make_blocks(12, [4, 4])
-    out = product_rule_step(forest, led, QueuedRng([(0, 4, 8, 9)]))
-    assert out == MergeOutcome(MergeOutcome.MERGED, 4, 4)  # 16 beats 1
-
-    forest, led = make_blocks(12, [4, 4])
-    out = product_rule_step(forest, led, QueuedRng([(8, 9, 0, 4)]))
-    assert out == MergeOutcome(MergeOutcome.MERGED, 4, 4)  # product 1 loses to 16
-
-    forest, led = make_blocks(12, [4, 4])
-    out = product_rule_step(forest, led, QueuedRng([(8, 9, 10, 11)]))
-    assert out == MergeOutcome(MergeOutcome.MERGED, 1, 1)
-    assert forest.comp_size[forest.find(8)] == 2  # tie kept the first pair
+    for rows, e1_want in (([(0, 4, 8, 9)], 1),  # 16 beats 1
+                          ([(8, 9, 0, 4)], 0)):  # product 1 loses to 16
+        counts, _, _, e1, _ = play_rows("product", rows, 1)
+        assert (counts, e1) == ({1: 4, 8: 1}, e1_want)
+    # a tie keeps the first pair
+    counts, _, _, e1, _ = play_rows("product", [(8, 9, 10, 11)], 1)
+    assert (counts, e1) == ({1: 2, 2: 1, 4: 2}, 1)
 
 
 # ---------------------------------------------------------------------------
