@@ -2,11 +2,16 @@
 # Run every shipped experiment config with --check in a fresh temporary
 # directory, and compare each CSV it writes byte for byte with the
 # committed golden copy in scripts/results/. Stops on the first failed
-# check or differing CSV. Needs the `percolab` command on PATH
-# (pip install -e .). The tracked scripts/results/ is never written.
+# check or differing CSV. Runs the `percolab` command if it is on PATH
+# (pip install -e .), else `python3 -m percolab` from this checkout's src.
+# The tracked scripts/results/ is never written.
 set -euo pipefail
 
 here="$(cd "$(dirname "$0")" && pwd)"
+if ! command -v percolab > /dev/null; then
+    export PYTHONPATH="$here/../src${PYTHONPATH:+:$PYTHONPATH}"
+    percolab() { python3 -m percolab "$@"; }
+fi
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
 cd "$work"  # each config writes to results/<name>.csv relative to here

@@ -65,8 +65,11 @@ SRC_CLOSED_FORM = "closed_form"
 # change; giant runs any process and is not listed
 ONLY_PROCESS = {"constants": "", "moments": "bf", "growth": "bf", "two_phase": "bf",
                 "variant_agreement": ""}
-# experiments that always start from the empty graph
-NO_INITIAL = ("constants", "two_phase")
+# experiments that always start from the empty graph; moments and growth
+# predict from the limit equations of the empty graph
+NO_INITIAL = ("constants", "moments", "growth", "two_phase")
+# the growth delta whose mean c1_frac is checked against gamma*delta
+GROWTH_LEVEL_DELTA = 0.1
 
 
 @dataclass(frozen=True)
@@ -471,9 +474,10 @@ def exp_growth(cfg: ExperimentConfig) -> ExperimentOutcome:
         if halfwidth is not None:
             rows.append(summary_row(cfg, at, "band_halfwidth", None, halfwidth,
                                     SRC_CLOSED_FORM))
-        if delta == 0.1 and center is not None:
+        if abs(delta - GROWTH_LEVEL_DELTA) <= 1e-12 and center is not None:
             checks.append(_within(
-                "growth delta=0.1 mean c1_frac vs gamma*delta", mean, center, 0.15
+                f"growth delta={GROWTH_LEVEL_DELTA:g} mean c1_frac vs gamma*delta",
+                mean, center, 0.15,
             ))
         if delta == 0:
             checks.append(CheckResult(

@@ -7,15 +7,18 @@ exactly across engines for a given seed.
 
 engine='python' is the scalar reference: it walks the rows one by one
 through a union-find forest with an exact moment ledger. engine='auto'
-decides whole slices of rows with numpy, buffers the inserted edges and
-folds them into component labels with one connected-components pass
-per snapshot. The two-choice rules decide speculative blocks of about
-sqrt(n) rows on the state at block start. The product rule reads exact
-component sizes from an int64 union-find: numpy decides at once every
-round of a block whose components no earlier round of the block touched
-and whose choice cannot change as the giant grows, and a short scalar
-pass plays the rest in row order. Its merging edges are buffered for the
-same snapshot pass.
+decides whole slices of rows with numpy on one int64 union-find forest
+for every rule, whose roots hold the component sizes. The uniform rules
+and bf buffer the edges they insert and fold them into the forest in
+rounds of vectorized hooking and pointer jumping, once per snapshot or
+per CHUNK edges. The two-choice rules decide speculative blocks of about
+sqrt(n) rows on the state at block start: bf on the isolation bitmap,
+and the product rule on exact component sizes. For the product rule
+numpy decides at once every round of a block whose components no
+earlier round of the block touched and whose choice cannot change as
+the giant grows, and a short scalar pass plays the rest in row order;
+both merge straight into the forest. A snapshot is the histogram of the
+sizes at the roots.
 
 One run attempts at most MAX_ATTEMPTS insertions; asking for more
 raises InvalidConfigError, since no run of that length could finish.
@@ -31,8 +34,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import InvalidConfigError
 from .ledger import SizeDistribution, add_edge, ledger_init, snapshot_distribution
@@ -266,9 +267,14 @@ class Simulation:
     def _init_batch(self) -> None:
         n = self.n
         lo = self.initial.path_lows()
-        self._labels = np.arange(n, dtype=np.int64)  # component index per vertex
-        self._ncomp = n
-        self._pending: list[tuple[np.ndarray, np.ndarray]] = []  # edges not yet in labels
+        # union-find forest: each vertex points towards the root of its
+        # component, and `_size` holds the component size at each root
+        self._parent = np.arange(n, dtype=np.int64)
+        self._size = np.ones(n, dtype=np.int64)  # valid at roots only
+        self._big = 0  # the product rule's root of a largest component; -1 after a fold
+        self._trees = n  # n minus the merges made, for the snapshot self-check
+        self._pending: list[tuple[np.ndarray, np.ndarray]] = []  # edges not yet in the forest
+        self._npending = 0
         self._iso = np.ones(n, dtype=bool)
         self._insert(lo, lo + 1)
         if self.kind is ProcessKind.ER_WITHOUT_REPLACEMENT:
@@ -285,8 +291,6 @@ class Simulation:
             else:
                 self._block = PRODUCT_BLOCK or max(2, int(1.2 * math.sqrt(n)))
             self._stamp = np.full(n, self._block, dtype=np.int64)
-        if self.kind is ProcessKind.PRODUCT_RULE:
-            self._rebuild_forest()
 
     # -- proposal stream -------------------------------------------------
 
@@ -384,11 +388,80 @@ class Simulation:
     # -- batch engine ----------------------------------------------------
 
     def _insert(self, u: np.ndarray, v: np.ndarray) -> None:
-        """Buffer loop-free edges for the next snapshot and mark their ends."""
+        """Mark the ends of loop-free edges as joined and buffer the edges
+        for the forest. A full buffer of CHUNK edges is folded at once, so
+        it never holds more than one chunk's worth."""
         if len(u):
-            self._pending.append((u, v))
             self._iso[u] = False
             self._iso[v] = False
+            self._pending.append((u, v))
+            self._npending += len(u)
+            if self._npending >= CHUNK:
+                self._fold()
+
+    def _find(self, x: np.ndarray) -> np.ndarray:
+        """Roots of the vertices x, which are then pointed at them."""
+        parent = self._parent
+        roots = parent[x]
+        while True:
+            up = parent[roots]
+            if np.array_equal(up, roots):
+                break
+            roots = up
+        parent[x] = roots
+        return roots
+
+    def _fold(self) -> None:
+        """Merge the buffered edges into the forest in rounds of vectorized
+        hooking and pointer jumping (Shiloach and Vishkin).
+
+        In a round every edge whose ends have different roots hooks the
+        smaller root, by size and then by index, under the other, so the
+        pointers climb a strict order and close no cycle. A root offered
+        several parents takes one: each edge writes its own mark into it,
+        and the edge whose mark stayed wins. Jumping the hooked roots over
+        their parents, which are hooked roots too or roots, points each
+        straight at a root, whose size then takes in theirs; so the sizes
+        are exact at the roots after every round, union by size keeps the
+        trees shallow, and one gather finds the next round's roots.
+        """
+        if not self._pending:
+            return
+        self._big = -1  # merges the product rule did not see: it finds its giant again
+        parent, size = self._parent, self._size
+        a = self._find(np.concatenate([p[0] for p in self._pending]))
+        b = self._find(np.concatenate([p[1] for p in self._pending]))
+        self._pending, self._npending = [], 0
+        while True:
+            live = a != b
+            if not live.all():
+                live = np.flatnonzero(live)
+                if not len(live):
+                    break
+                a, b = a[live], b[live]
+            # the first round of a large fold sets the run's peak memory, so
+            # each temporary is dropped as soon as it is used
+            sa, sb = size[a], size[b]
+            # a - b where a hooks under b, else 0 (cheaper than np.where)
+            shift = (a - b) * ((sa < sb) | ((sa == sb) & (a < b)))
+            del sa, sb
+            child, top = b + shift, a - shift
+            del shift
+            mark = np.arange(-1, -1 - len(child), -1)
+            parent[child] = mark
+            won = np.flatnonzero(parent[child] == mark)
+            del mark
+            child = child[won]
+            top = top[won]
+            parent[child] = top
+            while True:
+                up = parent[top]
+                if np.array_equal(up, top):
+                    break
+                parent[child] = top = up
+            np.add.at(size, top, size[child])
+            self._trees -= len(child)
+            a, b = parent[a], parent[b]
 
     def _consume_uniform(self, need: int, norep: bool) -> int:
         # need rows hold at most need insertions: the whole slice is consumed
@@ -405,9 +478,6 @@ class Simulation:
             self._keys = np.sort(np.concatenate((self._keys, keys[take])), kind="stable")
         u, v = u[take], v[take]
         self._insert(u, v)
-        if self.kind is ProcessKind.PRODUCT_RULE:
-            # continuation edges change the sizes later product rounds read
-            self._rebuild_forest()
         return len(u)
 
     def _consume_bf(self, need: int) -> int:
@@ -451,23 +521,6 @@ class Simulation:
             self._pos += cut if at is None else int(at[cut])
         return cut
 
-    def _rebuild_forest(self) -> None:
-        """Rebuild the product rule's union-find from the component labels,
-        after folding in every buffered edge. Each vertex points at one
-        vertex of its component, the root, which holds the size; `_big` is
-        the root of a largest component and `_trees` counts the components
-        for the snapshot self-check."""
-        self._merge_pending()
-        labels = self._labels
-        root = np.empty(self._ncomp, dtype=np.int64)
-        root[labels] = np.arange(self.n, dtype=np.int64)  # any vertex of each component
-        counts = np.bincount(labels, minlength=self._ncomp)
-        self._parent = root[labels]
-        self._size = np.zeros(self.n, dtype=np.int64)  # valid at roots only
-        self._size[root] = counts
-        self._big = int(root[np.argmax(counts)])
-        self._trees = self._ncomp
-
     def _consume_product(self, need: int) -> int:
         """One block of product-rule rounds on the int64 union-find.
 
@@ -488,20 +541,17 @@ class Simulation:
         rounds do not meet, except the giant, so each reads exact sizes
         once the giant's is set to g0 plus the growth from earlier rounds.
         """
+        self._fold()  # initial and continuation edges change the sizes read
+        if self._big < 0:
+            roots = np.flatnonzero(self._parent == np.arange(self.n))
+            self._big = int(roots[np.argmax(self._size[roots])])
         rows = self._buf[self._pos:self._pos + min(need, self._block)]
         self._pos += len(rows)
         if not self.loops:
             rows = rows[(rows[:, 0] != rows[:, 1]) & (rows[:, 2] != rows[:, 3])]
         count = len(rows)
         parent, size, big = self._parent, self._size, self._big
-        ends = rows.ravel()
-        roots = parent[ends]
-        while True:
-            up = parent[roots]
-            if np.array_equal(up, roots):
-                break
-            roots = up
-        parent[ends] = roots  # point the queried vertices at their roots
+        roots = self._find(rows.ravel())
         turn = np.repeat(np.arange(count), 4)
         stamp = self._stamp  # earliest round of the block reading each root
         np.minimum.at(stamp, roots, turn)
@@ -580,39 +630,42 @@ class Simulation:
                 self._big = int(best)
         self.e1_rounds += e1
         self._trees -= len(u) + len(us)
-        self._insert(np.concatenate((u, np.array(us, dtype=np.int64))),
-                     np.concatenate((v, np.array(vs, dtype=np.int64))))
+        self._iso[u] = self._iso[v] = False
+        self._iso[us] = self._iso[vs] = False
         self.blocks += 1
         return count
-
-    def _merge_pending(self) -> None:
-        """Fold the buffered edges into the component labels."""
-        if not self._pending:
-            return
-        u = np.concatenate([p[0] for p in self._pending])
-        v = np.concatenate([p[1] for p in self._pending])
-        self._pending = []
-        k = self._ncomp
-        graph = coo_matrix(
-            (np.ones(len(u), dtype=bool), (self._labels[u], self._labels[v])), shape=(k, k)
-        )
-        self._ncomp, merged = connected_components(graph, directed=True, connection="weak")
-        self._labels = merged[self._labels]
 
     # -- observation -----------------------------------------------------
 
     def snapshot(self) -> Snapshot:
         if self._batch:
-            self._merge_pending()
-            counts = np.bincount(np.bincount(self._labels, minlength=self._ncomp))
-            sizes = np.flatnonzero(counts)
-            dist = SizeDistribution(dict(zip(sizes.tolist(), counts[sizes].tolist())))
+            self._fold()
+            # the roots are found one block of vertices at a time, since an
+            # arange of all n would be the largest temporary of the run
+            is_root = np.empty(self.n, dtype=bool)
+            for lo in range(0, self.n, CHUNK):
+                hi = min(lo + CHUNK, self.n)
+                np.equal(self._parent[lo:hi], np.arange(lo, hi), out=is_root[lo:hi])
+            if np.count_nonzero(is_root) != self._trees:
+                raise AssertionError("union-find roots and merge count disagree")
+            sizes = np.compress(is_root, self._size)
+            # the largest size is counted apart, so the bincount runs only to
+            # the second largest; added last, it keeps the sizes in order
+            at = int(np.argmax(sizes))
+            top = int(sizes[at])
+            sizes[at] = 1
+            counts = np.bincount(sizes)
+            counts[1] -= 1
+            small = np.flatnonzero(counts)
+            hist = dict(zip(small.tolist(), counts[small].tolist()))
+            hist[top] = hist.get(top, 0) + 1
+            dist = SizeDistribution(hist)
             sums = tuple(dist.power_sum(k) for k in (1, 2, 3, 4))
             c1, c2, n1 = dist.c1, dist.c2, dist.n1
-            if sums[0] != self.n or n1 != int(np.count_nonzero(self._iso)):
-                raise AssertionError("component labels and isolation bitmap disagree")
-            if self.kind is ProcessKind.PRODUCT_RULE and self._trees != self._ncomp:
-                raise AssertionError("product union-find and component labels disagree")
+            if sums[0] != self.n:
+                raise AssertionError("component sizes do not sum to n")
+            if n1 != int(np.count_nonzero(self._iso)):
+                raise AssertionError("singletons and isolation bitmap disagree")
         else:
             dist = snapshot_distribution(self.forest)
             sums = tuple(dist.power_sum(k) for k in (1, 2, 3, 4))

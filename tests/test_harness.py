@@ -3,6 +3,7 @@
 import csv
 import itertools
 import json
+import math
 import os
 import pickle
 import subprocess
@@ -90,6 +91,8 @@ def test_config_from_dict_requires_experiment_and_n():
     {"experiment": "variant_agreement", "process": "er"},
     {"experiment": "constants", "initial": "2:10"},
     {"experiment": "two_phase", "delta_grid": [0.1], "initial": "2:10"},
+    {"experiment": "moments", "t_grid": [0.5], "initial": "2:10"},
+    {"experiment": "growth", "delta_grid": [0.1], "initial": "2:10"},
 ])
 def test_config_validate_rejects(patch):
     base = {"experiment": "moments", "n": 1000, "t_grid": [0.5]}
@@ -254,6 +257,16 @@ def test_check_fails_when_the_experiment_emits_no_check(tmp_path, capsys):
     assert run_config(cfg, check=True) == 4
     assert "0 checks, 0 failed" in capsys.readouterr().out
     assert run_config(cfg, check=False, quiet=True) == 0
+
+
+def test_growth_level_check_matches_a_delta_a_few_ulps_off():
+    """A grid value that is 0.1 up to rounding still gets the level check."""
+    near = 0.1 + 4 * math.ulp(0.1)
+    assert near != 0.1
+    cfg = ExperimentConfig.from_dict({"experiment": "growth", "n": 2000, "replicates": 2,
+                                      "seed": 3, "delta_grid": [near]})
+    names = [c.name for c in run_experiment(cfg).checks]
+    assert names == ["growth delta=0.1 mean c1_frac vs gamma*delta"]
 
 
 # ---------------------------------------------------------------------------

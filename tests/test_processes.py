@@ -316,6 +316,19 @@ def test_product_engine_parity_with_chunk_of_one_row():
     assert sims[0] == sims[1]
 
 
+def test_product_giant_root_survives_folds_of_every_size():
+    """With CHUNK = 1 every initial and continuation edge is folded as it is
+    inserted, so no edge is left buffered when a block starts; each block
+    must still read a root of a largest component as its giant."""
+    with mock.patch.object(processes, "CHUNK", 1):
+        sim = Simulation(ProcessKind.PRODUCT_RULE, 300, initial="8:1,2:20", seed=4)
+        for m, extra in ((1, 0), (40, 150), (41, 0), (80, 150), (81, 0)):
+            sim.advance_to(m)
+            assert sim._parent[sim._big] == sim._big
+            assert sim._size[sim._big] == sim.snapshot().c1
+            sim.add_er_edges(extra)
+
+
 def product_on_rows(rows, n, initial):
     """Play hand-made rows (they stand in for the drawn chunk) on both engines,
     with every row in one product block; returns (snapshot, e1_rounds, _pos)
@@ -385,11 +398,61 @@ def test_product_snapshot_checks_its_union_find():
 
 
 def test_batch_snapshot_checks_itself():
-    sim = Simulation(ProcessKind.ER_WITH_REPLACEMENT, 100, seed=1)
-    sim.advance_to(30)
-    sim._iso[np.flatnonzero(~sim._iso)[0]] = True  # forget that one vertex was joined
-    with pytest.raises(AssertionError):
-        sim.snapshot()
+    """Each rule's snapshot checks the root count against the merges, the
+    sizes at the roots against n and the singletons against the isolation
+    bitmap, so corrupting any of them raises."""
+    def roots_largest_first(sim):
+        roots = np.flatnonzero(sim._parent == np.arange(sim.n))
+        return roots[np.argsort(-sim._size[roots], kind="stable")]
+
+    def forget_a_join(sim):
+        sim._iso[np.flatnonzero(~sim._iso)[0]] = True
+
+    def grow_the_giant(sim):
+        sim._size[roots_largest_first(sim)[0]] += 1
+
+    def shrink_a_small_root(sim):
+        sim._size[roots_largest_first(sim)[-1]] -= 1
+
+    def reroot_a_vertex(sim):
+        child = np.flatnonzero(sim._parent != np.arange(sim.n))[0]
+        sim._parent[child] = child
+
+    for kind in ALL_KINDS:
+        for corrupt in (forget_a_join, grow_the_giant, shrink_a_small_root, reroot_a_vertex):
+            sim = Simulation(kind, 100, initial="3:2", seed=1)
+            sim.advance_to(45)
+            sim.snapshot()
+            sim.advance_to(50)  # bf and the uniform rules leave edges to fold
+            corrupt(sim)
+            with pytest.raises(AssertionError):
+                sim.snapshot()
+
+
+@pytest.mark.parametrize("kind", [k.value for k in ALL_KINDS])
+def test_engine_parity_on_a_dense_record_grid(kind):
+    """Fifty record points, so every snapshot folds only the edges since the
+    one before it, from an initial graph and past the critical time."""
+    grid = tuple(1.5 * (i + 1) / 50 for i in range(50))
+    kwargs = dict(n=3000, initial="3:5,2:10", t_end=1.5, record_at=grid, seed=21)
+    batch = run_process(kind, engine="auto", **kwargs)
+    assert len(batch) == 50
+    assert batch == run_process(kind, engine="python", **kwargs)
+
+
+def test_engine_parity_on_a_dense_continuation_grid():
+    """A stopped bf run, then its uniform continuation in fifty pieces with a
+    snapshot after each."""
+    runs = []
+    for engine in processes.ENGINES:
+        sim = Simulation(ProcessKind.BOUNDED_SIZE, 3000, seed=22, engine=engine)
+        sim.advance_to(1500)
+        snaps = [sim.snapshot()]
+        for _ in range(50):
+            sim.add_er_edges(20)
+            snaps.append(sim.snapshot())
+        runs.append((snaps, sim.e1_rounds, sim.rng.bit_generator.state))
+    assert runs[0] == runs[1]
 
 
 @st.composite
