@@ -1,9 +1,12 @@
 """Time the simulation engine per process and record it in a BENCH_*.json file.
 
-For each of bf, er-wr, er and product, at n = 1e5, 1e6 and 2e6 to
-t = 1.3, one fresh interpreter advances a batch-engine Simulation with
-1 and with 50 evenly spaced record points and reports:
+For each of bf, er-wr, er and product from the empty graph, and
+er-poisson from half of the vertices in pairs (as the `giant` experiment
+starts), at n = 1e5, 1e6 and 2e6 to t = 1.3, one fresh interpreter
+advances a batch-engine Simulation with 1 and with 50 evenly spaced
+record points and reports:
 
+- init_s, the wall time of constructing the Simulation;
 - advance_s and snapshot_s, the wall time summed over all calls;
 - rss_advance_mb, ru_maxrss just before the last snapshot;
 - rss_snapshot_mb, ru_maxrss after it;
@@ -12,7 +15,7 @@ t = 1.3, one fresh interpreter advances a batch-engine Simulation with
 It also times find_tc, uncached, and solve_rho on half of the vertices
 in pairs (median of 5 calls each).
 
-    python scripts/bench.py --label change [--src src] [--out BENCH_7.json]
+    python scripts/bench.py --label change [--src src] [--out BENCH_8.json]
 
 runs the percolab found under --src (default: this checkout's src) and
 stores the results under --label in --out, keeping the other labels
@@ -31,7 +34,8 @@ import sys
 import time
 from pathlib import Path
 
-KINDS = ("bf", "er-wr", "er", "product")
+# (process, initial graph); "pairs" puts half of the vertices in pairs
+CASES = (("bf", ""), ("er-wr", ""), ("er", ""), ("product", ""), ("er-poisson", "pairs"))
 SIZES = (100_000, 1_000_000, 2_000_000)
 POINTS = (1, 50)
 T_END = 1.3
@@ -43,12 +47,15 @@ def _rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
 
 
-def one_case(kind: str, n: int, points: int) -> dict:
+def one_case(kind: str, initial: str, n: int, points: int) -> dict:
     """Advance one simulation to T_END with `points` record instants."""
     from percolab.processes import ProcessKind, Simulation
 
     rss_import = _rss_mb()
-    sim = Simulation(ProcessKind.from_token(kind), n, seed=SEED)
+    t0 = time.perf_counter()
+    sim = Simulation(ProcessKind.from_token(kind), n, seed=SEED,
+                     initial=f"2:{n // 4}" if initial == "pairs" else "")
+    init = time.perf_counter() - t0
     targets = [int(round(n * T_END * (i + 1) / points / 2)) for i in range(points)]
     advance = snapshot = 0.0
     rss_advance = 0.0
@@ -60,7 +67,8 @@ def one_case(kind: str, n: int, points: int) -> dict:
         sim.snapshot()
         snapshot += time.perf_counter() - t1
         advance += t1 - t0
-    return {"kind": kind, "n": n, "points": points, "advance_s": round(advance, 4),
+    return {"kind": kind, "initial": initial, "n": n, "points": points,
+            "init_s": round(init, 4), "advance_s": round(advance, 4),
             "snapshot_s": round(snapshot, 4), "rss_import_mb": round(rss_import, 1),
             "rss_advance_mb": round(rss_advance, 1), "rss_snapshot_mb": round(_rss_mb(), 1)}
 
@@ -104,13 +112,14 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", help="key the results are stored under")
     ap.add_argument("--src", type=Path, default=ROOT / "src")
-    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_7.json")
-    ap.add_argument("--case", nargs=3, metavar=("KIND", "N", "POINTS"), help=argparse.SUPPRESS)
+    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_8.json")
+    ap.add_argument("--case", nargs=4, metavar=("KIND", "INITIAL", "N", "POINTS"),
+                    help=argparse.SUPPRESS)
     ap.add_argument("--solvers", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.case:
-        kind, n, points = args.case
-        print(json.dumps(one_case(kind, int(n), int(points))))
+        kind, initial, n, points = args.case
+        print(json.dumps(one_case(kind, initial, int(n), int(points))))
         return
     if args.solvers:
         print(json.dumps(dict(solvers(), machine=machine())))
@@ -119,10 +128,10 @@ def main() -> None:
         ap.error("--label is required")
     src = args.src.resolve()
     cases = []
-    for kind in KINDS:
+    for kind, initial in CASES:
         for n in SIZES:
             for points in POINTS:
-                case = run_child(src, "--case", kind, str(n), str(points))
+                case = run_child(src, "--case", kind, initial, str(n), str(points))
                 print(json.dumps(case), file=sys.stderr)
                 cases.append(case)
     solved = run_child(src, "--solvers")

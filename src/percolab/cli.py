@@ -7,6 +7,7 @@ emitted at all).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .errors import InvalidConfigError, NumericalFailureError
@@ -65,21 +66,29 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_ode(args) -> int:
     from .ode import find_tc
 
+    if not 0 < args.tol < math.inf:
+        raise InvalidConfigError(f"--tol must be finite and > 0, got {args.tol}")
     constants = find_tc(args.tol)
     data = constants.as_dict()
     for key, value in data.items():
         print(f"{key}={value:.10g}")
     if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write(",".join(data) + "\n")
-            fh.write(",".join(f"{v:.10g}" for v in data.values()) + "\n")
+        try:
+            with open(args.csv, "w") as fh:
+                fh.write(",".join(data) + "\n")
+                fh.write(",".join(f"{v:.10g}" for v in data.values()) + "\n")
+        except OSError as exc:
+            raise InvalidConfigError(f"cannot write {args.csv}: {exc}") from exc
     return 0
 
 
 def _cmd_simulate(args) -> int:
     from .processes import run_process
 
-    record = tuple(float(x) for x in args.record.split(",") if x.strip()) or (args.t,)
+    try:
+        record = tuple(float(x) for x in args.record.split(",") if x.strip()) or (args.t,)
+    except ValueError as exc:
+        raise InvalidConfigError(f"bad --record list {args.record!r}: {exc}") from exc
     records = run_process(
         args.process, args.n, initial=args.initial, t_end=args.t,
         record_at=record, seed=args.seed, loops=not args.no_loops, engine=args.engine,
@@ -123,7 +132,10 @@ def _cmd_fixed_point(args) -> int:
     if args.csv:
         from .harness import write_csv
 
-        write_csv(rows, args.csv)
+        try:
+            write_csv(rows, args.csv)
+        except OSError as exc:
+            raise InvalidConfigError(f"cannot write {args.csv}: {exc}") from exc
     return 0
 
 

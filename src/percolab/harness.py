@@ -172,7 +172,7 @@ class ExperimentConfig:
         try:
             with open(path) as fh:
                 data = json.load(fh)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise InvalidConfigError(f"cannot read config {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise InvalidConfigError(f"config {path} is not valid JSON: {exc}") from exc

@@ -195,20 +195,24 @@ class SizeDistribution:
     @classmethod
     def from_csv(cls, path: str) -> "SizeDistribution":
         """Load a two-column CSV ``size,count`` with header."""
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header[:2]] != ["size", "count"]:
-                raise InvalidConfigError(f"{path}: expected header 'size,count'")
-            counts: dict[int, int] = {}
-            for row in reader:
-                if not row or not row[0].strip():
-                    continue
-                try:
-                    s, c = int(row[0]), int(row[1])
-                except (ValueError, IndexError) as exc:
-                    raise InvalidConfigError(f"{path}: bad row {row!r}") from exc
-                counts[s] = counts.get(s, 0) + c
+        try:
+            with open(path, newline="") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InvalidConfigError(f"cannot read distribution {path}: {exc}") from exc
+        reader = csv.reader(text.splitlines())
+        header = next(reader, None)
+        if header is None or [h.strip() for h in header[:2]] != ["size", "count"]:
+            raise InvalidConfigError(f"{path}: expected header 'size,count'")
+        counts: dict[int, int] = {}
+        for row in reader:
+            if not row or not row[0].strip():
+                continue
+            try:
+                s, c = int(row[0]), int(row[1])
+            except (ValueError, IndexError) as exc:
+                raise InvalidConfigError(f"{path}: bad row {row!r}") from exc
+            counts[s] = counts.get(s, 0) + c
         dist = cls(dict(sorted(counts.items())))
         dist.validate()
         if not dist.counts:

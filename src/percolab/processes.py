@@ -8,17 +8,21 @@ exactly across engines for a given seed.
 engine='python' is the scalar reference: it walks the rows one by one
 through a union-find forest with an exact moment ledger. engine='auto'
 decides whole slices of rows with numpy on one int64 union-find forest
-for every rule, whose roots hold the component sizes. The uniform rules
-and bf buffer the edges they insert and fold them into the forest in
-rounds of vectorized hooking and pointer jumping, once per snapshot or
-per CHUNK edges. The two-choice rules decide speculative blocks of about
-sqrt(n) rows on the state at block start: bf on the isolation bitmap,
-and the product rule on exact component sizes. For the product rule
-numpy decides at once every round of a block whose components no
-earlier round of the block touched and whose choice cannot change as
-the giant grows, and a short scalar pass plays the rest in row order;
-both merge straight into the forest. A snapshot is the histogram of the
-sizes at the roots.
+for every rule, whose roots hold the component sizes. An initial graph
+is written into the forest directly, each component a star on its first
+vertex, since only its vertex sets matter. The uniform rules and bf
+buffer the edges they insert and fold them into the forest in rounds of
+vectorized hooking and pointer jumping, once per snapshot or per CHUNK
+edges. er keeps the sorted keys of the pairs present; each slice of
+proposals is sorted once, its distinct keys are looked up in that array
+in sorted order, and the new ones are merged in. The two-choice rules
+decide speculative blocks of about sqrt(n) rows on the state at block
+start: bf on the isolation bitmap, and the product rule on exact
+component sizes. For the product rule numpy decides at once every round
+of a block whose components no earlier round of the block touched and
+whose choice cannot change as the giant grows, and a short scalar pass
+plays the rest in row order; both merge straight into the forest. A
+snapshot is the histogram of the sizes at the roots.
 
 One run attempts at most MAX_ATTEMPTS insertions; asking for more
 raises InvalidConfigError, since no run of that length could finish.
@@ -129,12 +133,15 @@ class InitialGraphSpec:
             counts[1] = counts.get(1, 0) + fill
         return SizeDistribution(dict(sorted(counts.items())))
 
+    def component_sizes(self) -> np.ndarray:
+        """Size of each component, in vertex-block order."""
+        return np.repeat(np.array([s for s, _ in self.parts], dtype=np.int64),
+                         np.array([c for _, c in self.parts], dtype=np.int64))
+
     def path_lows(self) -> np.ndarray:
         """Lower ends v of the path edges (v, v+1), in construction order."""
-        sizes = np.repeat(np.array([s for s, _ in self.parts], dtype=np.int64),
-                          np.array([c for _, c in self.parts], dtype=np.int64))
         inner = np.ones(self.total_vertices, dtype=bool)
-        inner[np.cumsum(sizes) - 1] = False  # the last vertex of each path
+        inner[np.cumsum(self.component_sizes()) - 1] = False  # the last vertex of each path
         return np.flatnonzero(inner)
 
     def path_edges(self) -> list[tuple[int, int]]:
@@ -266,20 +273,30 @@ class Simulation:
 
     def _init_batch(self) -> None:
         n = self.n
-        lo = self.initial.path_lows()
         # union-find forest: each vertex points towards the root of its
         # component, and `_size` holds the component size at each root
         self._parent = np.arange(n, dtype=np.int64)
         self._size = np.ones(n, dtype=np.int64)  # valid at roots only
+        self._iso = np.ones(n, dtype=bool)
         self._big = 0  # the product rule's root of a largest component; -1 after a fold
         self._trees = n  # n minus the merges made, for the snapshot self-check
         self._pending: list[tuple[np.ndarray, np.ndarray]] = []  # edges not yet in the forest
         self._npending = 0
-        self._iso = np.ones(n, dtype=bool)
-        self._insert(lo, lo + 1)
+        # the initial components are built as stars on their first vertex,
+        # which has the paths' vertex sets without folding their edges
+        sizes = self.initial.component_sizes()
+        if len(sizes):
+            starts = np.cumsum(sizes) - sizes
+            k = self.initial.total_vertices
+            self._parent[:k] = np.repeat(starts, sizes)
+            self._size[starts] = sizes
+            self._iso[:k] = np.repeat(sizes == 1, sizes)
+            self._trees -= k - len(sizes)
+            self._big = int(starts[np.argmax(sizes)])
         if self.kind is ProcessKind.ER_WITHOUT_REPLACEMENT:
             # sorted keys u*n+v (u < v) of the edges present, closed by n*n,
             # which is above every key, so a lookup never runs off the end
+            lo = self.initial.path_lows()
             self._keys = np.append(lo * n + lo + 1, n * n)
         if self.kind.two_choice:
             # A block is decided on the state at its start. A block of L rows
@@ -468,17 +485,35 @@ class Simulation:
         rows = self._buf[self._pos:self._pos + need]
         self._pos += len(rows)
         u, v = rows[:, 0], rows[:, 1]
-        take = u != v
-        if norep:
-            keys = np.minimum(u, v) * self.n + np.maximum(u, v)
-            first = np.zeros(len(keys), dtype=bool)
-            first[np.unique(keys, return_index=True)[1]] = True
-            present = self._keys[np.searchsorted(self._keys, keys)] == keys
-            take &= first & ~present
-            self._keys = np.sort(np.concatenate((self._keys, keys[take])), kind="stable")
+        take = self._new_pairs(u, v) if norep else np.flatnonzero(u != v)
         u, v = u[take], v[take]
         self._insert(u, v)
         return len(u)
+
+    def _new_pairs(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Rows, in row order, that are er insertions: no loop, no pair
+        already present and no repeat of an earlier row's pair. Their keys
+        join `_keys`.
+
+        One sort of the slice's keys groups equal pairs; the earliest row of
+        each group is its least row index, whatever order the sort left equal
+        keys in. The sorted distinct keys are looked up in `_keys` and the
+        new ones are merged in at the positions the lookup found.
+        """
+        n = self.n
+        keys = np.minimum(u, v) * n + np.maximum(u, v)
+        order = np.argsort(keys)
+        keys = keys[order]
+        starts = np.flatnonzero(keys[1:] != keys[:-1]) + 1
+        starts = np.concatenate(([0], starts))
+        rows = np.minimum.reduceat(order, starts)
+        keys = keys[starts]
+        del order, starts
+        at = np.searchsorted(self._keys, keys)
+        # a loop's key u*(n+1) is the only kind of key that n+1 divides
+        fresh = np.flatnonzero((self._keys[at] != keys) & (keys % (n + 1) != 0))
+        self._keys = np.insert(self._keys, at[fresh], keys[fresh])
+        return np.sort(rows[fresh])
 
     def _consume_bf(self, need: int) -> int:
         """One speculative block of bf rounds.

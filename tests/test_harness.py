@@ -310,6 +310,32 @@ def test_cli_usage_errors_exit_2():
     assert cli("bogus-subcommand").returncode == 2
 
 
+@pytest.mark.parametrize("args", [
+    ("simulate", "--process", "er", "--n", "10", "--t", "1", "--seed", "1",
+     "--record", "0.5,abc"),
+    ("ode", "--tol", "0"),
+    ("ode", "--tol", "-1"),
+    ("ode", "--tol", "nan"),
+    ("ode", "--tol", "inf"),
+    ("ode", "--csv", "{tmp}/missing/x.csv"),
+    ("fixed-point", "--dist", "{tmp}/missing.csv", "--t", "1"),
+    ("fixed-point", "--dist", "{tmp}", "--t", "1"),
+    ("fixed-point", "--dist", "{tmp}/binary", "--t", "1"),
+    ("fixed-point", "--dist", "{tmp}/dist.csv", "--t", "1", "--csv", "{tmp}/binary/x.csv"),
+    ("experiment", "--config", "{tmp}/binary"),
+])
+def test_cli_bad_inputs_exit_2_without_a_traceback(tmp_path, args):
+    """Unparsable record lists, tolerances that are not finite and positive,
+    and files that cannot be read or written are usage errors."""
+    (tmp_path / "dist.csv").write_text("size,count\n1,500\n2,250\n")
+    (tmp_path / "binary").write_bytes(b"\xff\xfe\x00size,count\n")
+    proc = cli(*(a.replace("{tmp}", str(tmp_path)) for a in args))
+    assert proc.returncode == 2, proc.stderr
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "missing").exists()
+
+
 def test_cli_simulate_rejects_numba_engine_and_er_beyond_complete_graph():
     assert cli("simulate", "--process", "bf", "--n", "10", "--t", "1",
                "--seed", "1", "--engine", "numba").returncode == 2

@@ -57,6 +57,35 @@ def test_initial_spec_path_edges_are_consecutive_blocks():
     assert list(spec.path_edges()) == [(0, 1), (1, 2), (3, 4)]
 
 
+INITIAL_FOREST = "1:3,4:2,2:5,7:1"  # size-1 parts and a part longer than a bf block at n = 28
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("n", [28, 40, 3000])
+def test_initial_graph_is_built_straight_into_the_forest(kind, n):
+    """Right after construction the forest holds the initial components,
+    each vertex pointing at its root, with no edge left to fold."""
+    spec = InitialGraphSpec.parse(INITIAL_FOREST)
+    sim = Simulation(kind, n, initial=spec)
+    assert (sim._pending, sim._npending) == ([], 0)
+    assert (sim._parent[sim._parent] == sim._parent).all()
+    assert sim._trees == n - sum((s - 1) * c for s, c in spec.parts)
+    assert sim._parent[sim._big] == sim._big
+    assert sim._size[sim._big] == 7
+    want = spec.to_distribution(n)
+    assert np.count_nonzero(sim._iso) == want.n1
+    assert sim.snapshot().dist == want
+
+
+@pytest.mark.parametrize("kind", [k.value for k in ALL_KINDS])
+def test_engine_parity_from_the_initial_forest(kind):
+    grid = tuple(1.5 * (i + 1) / 10 for i in range(10))
+    kwargs = dict(n=3000, initial=INITIAL_FOREST, t_end=1.5, record_at=grid, seed=23)
+    batch = run_process(kind, engine="auto", **kwargs)
+    assert len(batch) == 10
+    assert batch == run_process(kind, engine="python", **kwargs)
+
+
 # ---------------------------------------------------------------------------
 # rule semantics on scripted rows, on both engines
 
@@ -240,6 +269,30 @@ def test_er_engine_parity_near_the_complete_graph():
         assert stream_trace(engine="auto", **sched) == stream_trace(engine="python", **sched)
 
 
+@pytest.mark.parametrize("chunk", [5, 64])
+@pytest.mark.parametrize("n", [40, 60])
+def test_er_key_set_matches_the_scalar_seen_set(n, chunk):
+    """Short chunks cut the advances into many slices, which repeat present
+    edges and, at 64 rows, each other. After every advance the batch keys
+    must be the scalar engine's seen set, sorted and closed by n*n."""
+    pairs = n * (n - 1) // 2 - 8
+    schedule = (1, pairs // 8, pairs // 2, pairs - 10, pairs)
+    with mock.patch.object(processes, "CHUNK", chunk):
+        batch = Simulation(ProcessKind.ER_WITHOUT_REPLACEMENT, n, initial="3:4", seed=n,
+                           engine="auto")
+        scalar = Simulation(ProcessKind.ER_WITHOUT_REPLACEMENT, n, initial="3:4", seed=n,
+                            engine="python")
+        for m in schedule:
+            batch.advance_to(m)
+            scalar.advance_to(m)
+            keys = batch._keys
+            assert (np.diff(keys) > 0).all()
+            assert keys[-1] == n * n
+            assert keys.tolist() == sorted(scalar._seen) + [n * n]
+        sched = dict(kind="er", n=n, initial="3:4", seed=n, schedule=schedule)
+        assert stream_trace(engine="auto", **sched) == stream_trace(engine="python", **sched)
+
+
 def test_engine_parity_across_a_chunk_boundary():
     """Records on both sides of the end of the first chunk, with loop rows
     skipped (so rounds and rows drift apart), then a continuation."""
@@ -317,9 +370,10 @@ def test_product_engine_parity_with_chunk_of_one_row():
 
 
 def test_product_giant_root_survives_folds_of_every_size():
-    """With CHUNK = 1 every initial and continuation edge is folded as it is
-    inserted, so no edge is left buffered when a block starts; each block
-    must still read a root of a largest component as its giant."""
+    """The initial graph is built straight into the forest, and with
+    CHUNK = 1 every continuation edge is folded as it is inserted, so no
+    edge is left buffered when a block starts; each block must still read a
+    root of a largest component as its giant."""
     with mock.patch.object(processes, "CHUNK", 1):
         sim = Simulation(ProcessKind.PRODUCT_RULE, 300, initial="8:1,2:20", seed=4)
         for m, extra in ((1, 0), (40, 150), (41, 0), (80, 150), (81, 0)):
