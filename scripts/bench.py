@@ -76,12 +76,13 @@ def one_case(kind: str, initial: str, n: int, points: int) -> dict:
 def solvers() -> dict:
     from percolab.giant import solve_rho
     from percolab.ledger import SizeDistribution
-    from percolab.ode import find_tc
+    from percolab.ode import _cached_traj, find_tc
 
     def median_time(fn) -> float:
         times = []
         for _ in range(5):
-            find_tc.cache_clear()  # find_tc memoizes its result
+            find_tc.cache_clear()  # find_tc memoizes its result and its trajectory
+            _cached_traj.cache_clear()
             t0 = time.perf_counter()
             fn()
             times.append(time.perf_counter() - t0)

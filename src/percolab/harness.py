@@ -8,6 +8,7 @@ block's values into one row per replicate and a mean row with its
 standard error, next to the ODE, fixed-point or closed-form prediction.
 Reruns with the same config write a byte-identical CSV; timestamps live
 in a separate .meta.json sidecar. Both files are replaced atomically.
+EXPERIMENTS states, once per experiment, what it asks of its config.
 """
 from __future__ import annotations
 
@@ -17,12 +18,13 @@ import json
 import math
 import os
 import time
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from pathlib import Path
 
-from .errors import InvalidConfigError, NumericalFailureError
+from .errors import InvalidConfigError
 from .giant import bf_growth_prediction, solve_rho, supercritical_bounds
 from .ode import critical_trajectory, find_tc, sbar_k
 from .processes import (
@@ -39,6 +41,7 @@ __all__ = [
     "CSV_COLUMNS",
     "ResultRow",
     "CheckResult",
+    "EXPERIMENTS",
     "ExperimentConfig",
     "ExperimentOutcome",
     "RunSpec",
@@ -54,22 +57,15 @@ CSV_COLUMNS = [
     "abs_err", "rel_err", "stderr",
 ]
 
-EXPERIMENT_NAMES = ("moments", "constants", "giant", "growth", "two_phase",
-                    "variant_agreement")
-
 SRC_ODE = "ode"
 SRC_FIXED_POINT = "fixed_point"
 SRC_CLOSED_FORM = "closed_form"
 
-# the one process an experiment runs, which `process` may name but not
-# change; giant runs any process and is not listed
-ONLY_PROCESS = {"constants": "", "moments": "bf", "growth": "bf", "two_phase": "bf",
-                "variant_agreement": ""}
-# experiments that always start from the empty graph; moments and growth
-# predict from the limit equations of the empty graph
-NO_INITIAL = ("constants", "moments", "growth", "two_phase")
 # the growth delta whose mean c1_frac is checked against gamma*delta
 GROWTH_LEVEL_DELTA = 0.1
+# growth deltas above this get no prediction and stay out of the slope fit:
+# the linear law is only established near the transition
+SLOPE_MAX_DELTA = 0.15
 
 
 @dataclass(frozen=True)
@@ -128,7 +124,6 @@ _FIELD_TYPES = {
     "str": (lambda x: isinstance(x, str), "a string"),
     "int": (lambda x: isinstance(x, int) and not isinstance(x, bool), "an integer"),
     "float": (_is_real, "a finite number"),
-    "bool": (lambda x: isinstance(x, bool), "true or false"),
     "list[float]": (lambda x: isinstance(x, list) and all(_is_real(v) for v in x),
                     "a list of finite numbers"),
 }
@@ -144,14 +139,10 @@ class ExperimentConfig:
     seed: int = 42
     t_grid: list[float] = field(default_factory=list)
     delta_grid: list[float] = field(default_factory=list)
-    loops: bool = True
-    process: str = ""
     initial: str = ""
     out: str = "results.csv"
     tol: float = 1.0e-8
     workers: int = 1
-    band_coeff: float = 1.0
-    slope_max_delta: float = 0.15
     notes: str = ""  # free text, e.g. tolerance rationale; never read by logic
 
     @classmethod
@@ -188,9 +179,10 @@ class ExperimentConfig:
                 raise InvalidConfigError(f"{f.name} must be {kind}, got {value!r}")
         if self.tol <= 0:
             raise InvalidConfigError("tol must be > 0")
-        if self.experiment not in EXPERIMENT_NAMES:
+        contract = EXPERIMENTS.get(self.experiment)
+        if contract is None:
             raise InvalidConfigError(
-                f"unknown experiment {self.experiment!r}; expected one of {EXPERIMENT_NAMES}"
+                f"unknown experiment {self.experiment!r}; expected one of {tuple(EXPERIMENTS)}"
             )
         if self.n < 10:
             raise InvalidConfigError("n must be >= 10")
@@ -198,11 +190,8 @@ class ExperimentConfig:
             raise InvalidConfigError("replicates must be >= 1")
         if self.workers < 1:
             raise InvalidConfigError("workers must be >= 1")
-        needs_t = self.experiment in ("moments", "giant", "variant_agreement")
-        if needs_t and not self.t_grid:
-            raise InvalidConfigError(f"{self.experiment} needs a nonempty t_grid")
-        if self.experiment in ("growth", "two_phase") and not self.delta_grid:
-            raise InvalidConfigError(f"{self.experiment} needs a nonempty delta_grid")
+        if contract.grid and not getattr(self, contract.grid):
+            raise InvalidConfigError(f"{self.experiment} needs a nonempty {contract.grid}")
         if self.t_grid != sorted(self.t_grid):
             raise InvalidConfigError("t_grid must be sorted ascending")
         if any(t < 0 for t in self.t_grid):
@@ -213,11 +202,7 @@ class ExperimentConfig:
         if self.experiment == "two_phase":
             if any(d <= 0 or d >= 1 for d in self.delta_grid):
                 raise InvalidConfigError("two_phase deltas must lie in (0, 1)")
-        if self.process:
-            ProcessKind.from_token(self.process)
-        if self.process not in ("", ONLY_PROCESS.get(self.experiment, self.process)):
-            raise InvalidConfigError(f"{self.experiment} does not run process {self.process!r}")
-        if InitialGraphSpec.parse(self.initial).parts and self.experiment in NO_INITIAL:
+        if InitialGraphSpec.parse(self.initial).parts and not contract.reads_initial:
             raise InvalidConfigError(
                 f"{self.experiment} starts from the empty graph; initial is not used"
             )
@@ -242,13 +227,12 @@ class RunSpec:
     t_end: float
     record_at: tuple[float, ...] = ()
     initial: str = ""
-    loops: bool = True
 
 
 def run_spec(spec: RunSpec) -> list[TraceRecord]:
     return run_process(
         spec.kind, spec.n, initial=spec.initial, t_end=spec.t_end,
-        record_at=spec.record_at, seed=spec.seed, loops=spec.loops,
+        record_at=spec.record_at, seed=spec.seed,
     )
 
 
@@ -256,8 +240,7 @@ def stop_restart(spec: RunSpec, continue_t: float) -> tuple[Snapshot, float]:
     """Stop the run at spec.t_end, then add Poissonized uniform edges for a
     further continue_t, thinned by the share of non-isolated pairs; returns
     the stopped snapshot and the final C1/n."""
-    sim = Simulation(spec.kind, spec.n, initial=spec.initial, seed=spec.seed,
-                     loops=spec.loops)
+    sim = Simulation(spec.kind, spec.n, initial=spec.initial, seed=spec.seed)
     sim.advance_to(math.floor(spec.n * spec.t_end / 2))
     snap = sim.snapshot()
     extra = poisson_edge_count((1.0 - snap.x1 * snap.x1) * continue_t, spec.n, sim.rng)
@@ -283,8 +266,7 @@ def run_block(cfg: ExperimentConfig, seeds, kind: ProcessKind, t_end: float,
               record_at=(), initial: str = "", run=run_spec) -> tuple[list[int], list]:
     """Run the next block of replicates; returns their seeds and results."""
     block = next(seeds)
-    specs = [RunSpec(kind, cfg.n, s, t_end, tuple(record_at), initial, cfg.loops)
-             for s in block]
+    specs = [RunSpec(kind, cfg.n, s, t_end, tuple(record_at), initial) for s in block]
     return block, _run_ordered(run, specs, cfg.workers)
 
 
@@ -337,7 +319,7 @@ def exp_moments(cfg: ExperimentConfig) -> ExperimentOutcome:
             f"t_grid must stay below tc - 0.05 = {constants.tc - 0.05:.4f}"
         )
     seeds, traces = run_block(cfg, seed_blocks(cfg), ProcessKind.BOUNDED_SIZE,
-                              cfg.t_grid[-1], cfg.t_grid, cfg.initial)
+                              cfg.t_grid[-1], cfg.t_grid)
     rows: list[ResultRow] = []
     checks: list[CheckResult] = []
     for j, t in enumerate(cfg.t_grid):
@@ -385,7 +367,7 @@ def exp_constants(cfg: ExperimentConfig) -> ExperimentOutcome:
 
 def exp_giant(cfg: ExperimentConfig) -> ExperimentOutcome:
     """Giant component after adding uniform edges to an initial graph."""
-    kind = ProcessKind.from_token(cfg.process or ProcessKind.ER_POISSON_TIME.value)
+    kind = ProcessKind.ER_POISSON_TIME
     dist0 = InitialGraphSpec.parse(cfg.initial).to_distribution(cfg.n)
     s2, s3, s4 = (dist0.s(k) for k in (2, 3, 4))
     seeds, traces = run_block(cfg, seed_blocks(cfg), kind, cfg.t_grid[-1], cfg.t_grid,
@@ -460,10 +442,10 @@ def exp_growth(cfg: ExperimentConfig) -> ExperimentOutcome:
     means: dict[float, float] = {}
     for delta in cfg.delta_grid:
         t = constants.tc + delta
-        block, traces = run_block(cfg, seeds, ProcessKind.BOUNDED_SIZE, t, (t,), cfg.initial)
+        block, traces = run_block(cfg, seeds, ProcessKind.BOUNDED_SIZE, t, (t,))
         center = halfwidth = None
-        if 0 < delta <= cfg.slope_max_delta + 1e-12:
-            center, halfwidth = bf_growth_prediction(constants, delta, cfg.band_coeff)
+        if 0 < delta <= SLOPE_MAX_DELTA + 1e-12:
+            center, halfwidth = bf_growth_prediction(constants, delta)
         # far from the transition the linear law is conjecture only, so those
         # rows carry raw values without a prediction
         src = SRC_ODE if center is not None else ""
@@ -484,7 +466,7 @@ def exp_growth(cfg: ExperimentConfig) -> ExperimentOutcome:
                 "growth at the critical time stays small",
                 mean < 0.05, f"mean={mean:.5f}",
             ))
-    fit_ds = [d for d in cfg.delta_grid if 0 < d <= cfg.slope_max_delta + 1e-12]
+    fit_ds = [d for d in cfg.delta_grid if 0 < d <= SLOPE_MAX_DELTA + 1e-12]
     if len(fit_ds) >= 2:
         origin, local, exponent = _fit_slopes(
             fit_ds, [means[d] for d in fit_ds], constants.gamma
@@ -554,7 +536,7 @@ def exp_two_phase(cfg: ExperimentConfig) -> ExperimentOutcome:
                 checks.append(_within(
                     f"two_phase delta={delta:g} {_STOPPED_CHECKS[obs]}", mean, pred, 0.15
                 ))
-        center, _ = bf_growth_prediction(constants, delta, cfg.band_coeff)
+        center, _ = bf_growth_prediction(constants, delta)
         at = ("bf", t_final, delta)
         dmean, dse = observe(rows, cfg, direct_seeds, [tr[-1].c1_frac for tr in direct], at,
                              "c1_frac_direct", center, SRC_ODE)
@@ -603,26 +585,37 @@ def exp_variant_agreement(cfg: ExperimentConfig) -> ExperimentOutcome:
     return ExperimentOutcome(rows, checks)
 
 
-_EXPERIMENTS = {
-    "moments": exp_moments,
-    "constants": exp_constants,
-    "giant": exp_giant,
-    "growth": exp_growth,
-    "two_phase": exp_two_phase,
-    "variant_agreement": exp_variant_agreement,
+@dataclass(frozen=True)
+class Experiment:
+    """What an experiment asks of its config: the function that runs it,
+    the grid it needs ("t_grid", "delta_grid", or "" for none) and whether
+    it reads `initial`; the others start from the empty graph, and moments
+    and growth predict from the limit equations of the empty graph."""
+
+    run: Callable[[ExperimentConfig], ExperimentOutcome]
+    grid: str
+    reads_initial: bool
+
+
+EXPERIMENTS = {
+    "moments": Experiment(exp_moments, "t_grid", False),
+    "constants": Experiment(exp_constants, "", False),
+    "giant": Experiment(exp_giant, "t_grid", True),
+    "growth": Experiment(exp_growth, "delta_grid", False),
+    "two_phase": Experiment(exp_two_phase, "delta_grid", False),
+    "variant_agreement": Experiment(exp_variant_agreement, "t_grid", True),
 }
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentOutcome:
     cfg.validate()
-    return _EXPERIMENTS[cfg.experiment](cfg)
+    return EXPERIMENTS[cfg.experiment].run(cfg)
 
 
 def _write_atomic(path: Path, text: str) -> None:
     """Write a temp file beside path, then rename it over path: a reader
     sees the old file or the new one, never a part, and a failed write
     leaves the old file and no temp file."""
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         tmp.write_text(text)
@@ -660,20 +653,20 @@ def write_meta(csv_path: str, cfg: ExperimentConfig, elapsed: float,
 
 
 def run_config(cfg: ExperimentConfig, check: bool = False, quiet: bool = False) -> int:
-    """Run, persist and (optionally) enforce an experiment; returns an exit code."""
+    """Run, persist and (optionally) enforce an experiment; returns an exit
+    code. An invalid config or an output path that cannot be written raises
+    InvalidConfigError, and a solver failure NumericalFailureError."""
     start = time.perf_counter()
     try:
-        outcome = run_experiment(cfg)
-    except InvalidConfigError as exc:
-        if not quiet:
-            print(f"invalid config: {exc}")
-        return 2
-    except NumericalFailureError as exc:
-        if not quiet:
-            print(f"numerical failure: {exc}")
-        return 3
-    write_csv(outcome.rows, cfg.out)
-    write_meta(cfg.out, cfg, time.perf_counter() - start, outcome.checks)
+        Path(cfg.out).parent.mkdir(parents=True, exist_ok=True)  # before, not after, the run
+    except OSError as exc:
+        raise InvalidConfigError(f"cannot write {cfg.out}: {exc}") from exc
+    outcome = run_experiment(cfg)
+    try:
+        write_csv(outcome.rows, cfg.out)
+        write_meta(cfg.out, cfg, time.perf_counter() - start, outcome.checks)
+    except OSError as exc:
+        raise InvalidConfigError(f"cannot write {cfg.out}: {exc}") from exc
     failed = sum(not c.passed for c in outcome.checks)
     if not quiet:
         for c in outcome.checks:

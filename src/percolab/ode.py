@@ -122,9 +122,6 @@ class Trajectory:
     def g(self, t: float) -> float:
         return float(self.state(t)[2])
 
-    def h1(self, t: float) -> float:
-        return float(self.state(t)[3])
-
 
 def integrate(system: str = "transformed", t_end: float = T_SPAN_MAX,
               tol: float = DEFAULT_ODE_TOL, xbar0: float = 1.0) -> Trajectory:
@@ -230,7 +227,7 @@ def find_tc(tol: float = 1.0e-8, ode_tol: float | None = None) -> CriticalConsta
     if ode_tol is None:
         ode_tol = min(DEFAULT_ODE_TOL * 0.01, tol * 1.0e-4)
     ode_tol = max(ode_tol, 1.0e-13)
-    fine = integrate("transformed", T_SPAN_MAX, ode_tol)
+    fine = _cached_traj(ode_tol)  # the trajectory critical_trajectory() shares
     tc = _locate_tc(fine, xtol=min(tol, 1.0e-8))
     vals = _constants_at(fine, tc)
     coarse = integrate("transformed", T_SPAN_MAX, min(ode_tol * 1.0e4, 1.0e-6))

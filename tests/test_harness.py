@@ -16,6 +16,7 @@ from conftest import child_env
 from percolab import InvalidConfigError, ProcessKind, SizeDistribution
 from percolab.harness import (
     CSV_COLUMNS,
+    EXPERIMENTS,
     ExperimentConfig,
     ResultRow,
     RunSpec,
@@ -84,7 +85,7 @@ def test_config_from_dict_requires_experiment_and_n():
     {"t_grid": [0.5, "1.0"]},
     {"t_grid": [float("nan")]},
     {"initial": 3},
-    # process and initial only where the experiment uses them
+    # process is no longer a key; initial only where the experiment reads it
     {"experiment": "constants", "process": "bf"},
     {"experiment": "growth", "delta_grid": [0.1], "process": "product"},
     {"experiment": "two_phase", "delta_grid": [0.1], "process": "er"},
@@ -101,12 +102,49 @@ def test_config_validate_rejects(patch):
         ExperimentConfig.from_dict(base)
 
 
-def test_config_accepts_the_process_an_experiment_runs():
-    for experiment, extra in (("moments", {"t_grid": [0.5]}),
-                              ("growth", {"delta_grid": [0.1]}),
-                              ("two_phase", {"delta_grid": [0.1]})):
-        ExperimentConfig.from_dict({"experiment": experiment, "n": 1000, "process": "bf",
-                                    **extra})
+# each experiment's contract: the grid it needs and whether it reads `initial`
+CONTRACTS = {
+    "moments": ("t_grid", False),
+    "constants": ("", False),
+    "giant": ("t_grid", True),
+    "growth": ("delta_grid", False),
+    "two_phase": ("delta_grid", False),
+    "variant_agreement": ("t_grid", True),
+}
+GRID_VALUES = {"t_grid": [0.5], "delta_grid": [0.1]}
+
+
+def test_config_validates_each_experiment_by_its_contract():
+    assert {name: (e.grid, e.reads_initial) for name, e in EXPERIMENTS.items()} == CONTRACTS
+    for experiment, (grid, reads_initial) in CONTRACTS.items():
+        minimal = {"experiment": experiment, "n": 1000}
+        if grid:
+            with pytest.raises(InvalidConfigError, match=f"needs a nonempty {grid}"):
+                ExperimentConfig.from_dict(minimal)
+            minimal[grid] = GRID_VALUES[grid]
+        ExperimentConfig.from_dict(minimal)
+        with_initial = {**minimal, "initial": "2:10"}
+        if reads_initial:
+            ExperimentConfig.from_dict(with_initial)
+        else:
+            with pytest.raises(InvalidConfigError, match="initial is not used"):
+                ExperimentConfig.from_dict(with_initial)
+
+
+@pytest.mark.parametrize("experiment,key,value", [
+    ("moments", "process", "bf"),
+    ("giant", "process", "er-poisson"),
+    ("giant", "loops", True),
+    ("growth", "band_coeff", 1.0),
+    ("growth", "slope_max_delta", 0.15),
+])
+def test_config_rejects_removed_keys_as_unknown(experiment, key, value):
+    """process, loops, band_coeff and slope_max_delta only ever took one
+    value; experiments always run that value and the keys are gone."""
+    cfg = {"experiment": experiment, "n": 1000, "t_grid": [0.5], "delta_grid": [0.1],
+           key: value}
+    with pytest.raises(InvalidConfigError, match=f"unknown config keys: \\['{key}'\\]"):
+        ExperimentConfig.from_dict(cfg)
 
 
 def test_config_roundtrips_through_dict():
@@ -121,7 +159,7 @@ def test_config_roundtrips_through_dict():
 # run specs and seeds
 
 def test_run_spec_pickles():
-    spec = RunSpec(ProcessKind.BOUNDED_SIZE, 1000, 43, 1.2, (0.5, 1.2), "2:10", False)
+    spec = RunSpec(ProcessKind.BOUNDED_SIZE, 1000, 43, 1.2, (0.5, 1.2), "2:10")
     assert pickle.loads(pickle.dumps(spec)) == spec
 
 
@@ -323,11 +361,13 @@ def test_cli_usage_errors_exit_2():
     ("fixed-point", "--dist", "{tmp}/binary", "--t", "1"),
     ("fixed-point", "--dist", "{tmp}/dist.csv", "--t", "1", "--csv", "{tmp}/binary/x.csv"),
     ("experiment", "--config", "{tmp}/binary"),
+    ("experiment", "--config", "{tmp}/constants.json", "--out", "{tmp}/dist.csv/x.csv"),
 ])
 def test_cli_bad_inputs_exit_2_without_a_traceback(tmp_path, args):
     """Unparsable record lists, tolerances that are not finite and positive,
     and files that cannot be read or written are usage errors."""
     (tmp_path / "dist.csv").write_text("size,count\n1,500\n2,250\n")
+    (tmp_path / "constants.json").write_text('{"experiment": "constants", "n": 100}')
     (tmp_path / "binary").write_bytes(b"\xff\xfe\x00size,count\n")
     proc = cli(*(a.replace("{tmp}", str(tmp_path)) for a in args))
     assert proc.returncode == 2, proc.stderr
@@ -416,6 +456,21 @@ def test_cli_bad_config_exits_2(tmp_path):
     proc = cli("experiment", "--config", str(p))
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: n must be an integer")
+
+
+def test_cli_experiment_config_errors_go_to_stderr(tmp_path):
+    """An error found while the experiment runs (moments past tc - 0.05) is
+    reported like one found while parsing: exit 2, error: on stderr, no CSV."""
+    out = tmp_path / "m.csv"
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"experiment": "moments", "n": 1000, "t_grid": [1.2],
+                             "out": str(out)}))
+    proc = cli("experiment", "--config", str(p))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: t_grid must stay below tc - 0.05")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    assert not out.exists()
 
 
 def test_cli_numerical_failure_exits_3(tmp_path):

@@ -130,6 +130,18 @@ def test_constants_stable_under_tolerance_halving(constants):
     assert abs(loose.alpha - constants.alpha) < 1e-5
 
 
+def test_find_tc_and_critical_trajectory_integrate_the_fine_system_once(monkeypatch):
+    ode = percolab.ode
+    calls = []
+    real = ode.integrate
+    monkeypatch.setattr(ode, "integrate", lambda *a: calls.append(a) or real(*a))
+    ode.find_tc.cache_clear()
+    ode._cached_traj.cache_clear()
+    ode.find_tc()
+    ode.critical_trajectory()
+    assert calls == [("transformed", ode.T_SPAN_MAX, 1e-12), ("transformed", ode.T_SPAN_MAX, 1e-8)]
+
+
 def test_reported_errors_are_small_and_positive(constants):
     for name in constants.FIELDS:
         err = getattr(constants, name + "_err")
