@@ -15,7 +15,7 @@ record points and reports:
 It also times find_tc, uncached, and solve_rho on half of the vertices
 in pairs (median of 5 calls each).
 
-    python scripts/bench.py --label change [--src src] [--out BENCH_8.json]
+    python scripts/bench.py --label change [--src src] [--out BENCH_10.json]
 
 runs the percolab found under --src (default: this checkout's src) and
 stores the results under --label in --out, keeping the other labels
@@ -113,7 +113,7 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", help="key the results are stored under")
     ap.add_argument("--src", type=Path, default=ROOT / "src")
-    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_8.json")
+    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_10.json")
     ap.add_argument("--case", nargs=4, metavar=("KIND", "INITIAL", "N", "POINTS"),
                     help=argparse.SUPPRESS)
     ap.add_argument("--solvers", action="store_true", help=argparse.SUPPRESS)

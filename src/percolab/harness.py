@@ -657,12 +657,16 @@ def run_config(cfg: ExperimentConfig, check: bool = False, quiet: bool = False) 
     code. An invalid config or an output path that cannot be written raises
     InvalidConfigError, and a solver failure NumericalFailureError."""
     start = time.perf_counter()
-    try:
-        Path(cfg.out).parent.mkdir(parents=True, exist_ok=True)  # before, not after, the run
-    except OSError as exc:
-        raise InvalidConfigError(f"cannot write {cfg.out}: {exc}") from exc
+    # the output path is checked before the run, but missing directories
+    # are made only after it, so a failed run leaves nothing behind
+    base = Path(cfg.out).absolute().parent
+    while not base.exists():
+        base = base.parent
+    if not (base.is_dir() and os.access(base, os.W_OK | os.X_OK)):
+        raise InvalidConfigError(f"cannot write {cfg.out}: {base} is not a writable directory")
     outcome = run_experiment(cfg)
     try:
+        Path(cfg.out).parent.mkdir(parents=True, exist_ok=True)
         write_csv(outcome.rows, cfg.out)
         write_meta(cfg.out, cfg, time.perf_counter() - start, outcome.checks)
     except OSError as exc:

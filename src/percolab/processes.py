@@ -18,11 +18,11 @@ proposals is sorted once, its distinct keys are looked up in that array
 in sorted order, and the new ones are merged in. The two-choice rules
 decide speculative blocks of about sqrt(n) rows on the state at block
 start: bf on the isolation bitmap, and the product rule on exact
-component sizes. For the product rule numpy decides at once every round
-of a block whose components no earlier round of the block touched and
-whose choice cannot change as the giant grows, and a short scalar pass
-plays the rest in row order; both merge straight into the forest. A
-snapshot is the histogram of the sizes at the roots.
+component sizes. For the product rule one vectorized pass applies every
+round of a block whose components no earlier pending round reads and
+whose choice cannot change as the giant grows, merging straight into the
+forest, and repeats on the rounds left until none is. A snapshot is the
+histogram of the sizes at the roots.
 
 One run attempts at most MAX_ATTEMPTS insertions; asking for more
 raises InvalidConfigError, since no run of that length could finish.
@@ -306,7 +306,7 @@ class Simulation:
             if self.kind is ProcessKind.BOUNDED_SIZE:
                 self._block = max(2, int(0.7 * math.sqrt(n)))
             else:
-                self._block = PRODUCT_BLOCK or max(2, int(1.2 * math.sqrt(n)))
+                self._block = PRODUCT_BLOCK or max(2, int(3 * math.sqrt(n)))
             self._stamp = np.full(n, self._block, dtype=np.int64)
 
     # -- proposal stream -------------------------------------------------
@@ -559,22 +559,22 @@ class Simulation:
     def _consume_product(self, need: int) -> int:
         """One block of product-rule rounds on the int64 union-find.
 
-        A vectorized pass finds the roots of all four vertices of every
-        round at block start. A round is free when none of its roots but
-        the giant's (`_big`) was read by an earlier round of the block: no
-        earlier round can have merged them, so their sizes are exact. Only
-        the giant's size G may have grown since block start, and each
-        product has the form c*G**d, so the choice is monotone in G; a free
-        round whose choice is the same at G = g0, the size at block start,
-        and at G = n is exact. Round 0 reads the block-start state, so it
-        is always exact. All exact rounds are applied at once: merges into
-        the giant keep `_big` as the root, and every other merge joins two
-        roots that no other round of the pass reads.
-
-        A scalar pass then plays the other rounds in row order on the live
-        forest. The merges applied so far only touched components those
-        rounds do not meet, except the giant, so each reads exact sizes
-        once the giant's is set to g0 plus the growth from earlier rounds.
+        One vectorized pass repeats over `left`, the rounds of the block not
+        yet applied, in row order (deterministic reservations). It finds the
+        live roots of their vertices and calls a round free when none of its
+        roots but the giant's (`_big`) was read by an earlier round of
+        `left`. Every round applied so far merged only roots that no earlier
+        unapplied round read, so a free round's other components have the
+        sizes they have in row order. Only the giant's size G may differ: in
+        row order it is the block-start size g0 plus the growth from every
+        earlier round, known exactly for the rounds already applied. Each
+        product has the form c*G**d, so the choice is monotone in G, and a
+        free round whose choice is the same at that lower end and at G = n
+        is exact. The first round of `left` follows only applied rounds, so
+        its lower end is the giant's true size: it is always exact, and the
+        loop ends. The exact rounds are applied at once: merges into the
+        giant keep `_big` as the root, and every other merge joins two roots
+        that no other round of the pass reads.
         """
         self._fold()  # initial and continuation edges change the sizes read
         if self._big < 0:
@@ -586,87 +586,60 @@ class Simulation:
             rows = rows[(rows[:, 0] != rows[:, 1]) & (rows[:, 2] != rows[:, 3])]
         count = len(rows)
         parent, size, big = self._parent, self._size, self._big
-        roots = self._find(rows.ravel())
-        turn = np.repeat(np.arange(count), 4)
-        stamp = self._stamp  # earliest round of the block reading each root
-        np.minimum.at(stamp, roots, turn)
-        fresh = stamp[roots] == turn
-        stamp[roots] = self._block
-        roots = roots.reshape(count, 4)
-        giant = roots == big
-        free = (fresh.reshape(count, 4) | giant).all(axis=1)
+        stamp = self._stamp  # earliest round of the pass reading each root
         g0 = int(size[big])
-        sizes = size[roots]
-        low = np.where(giant, g0, sizes)
-        high = np.where(giant, self.n, sizes)
-        first = low[:, 0] * low[:, 1] >= low[:, 2] * low[:, 3]
-        exact = free & (first == (high[:, 0] * high[:, 1] >= high[:, 2] * high[:, 3]))
-        exact[:1] = True
+        grow = np.zeros(count, dtype=np.int64)  # giant growth per applied round
+        tops = [np.empty(0, dtype=np.int64)]  # roots of the merges that did not join the giant
+        left = np.arange(count)
+        while len(left):
+            quads = rows[left]
+            roots = self._find(quads.ravel())
+            turn = np.repeat(np.arange(len(left)), 4)
+            np.minimum.at(stamp, roots, turn)
+            fresh = stamp[roots] == turn
+            stamp[roots] = self._block
+            roots = roots.reshape(-1, 4)
+            giant = roots == big
+            free = (fresh.reshape(-1, 4) | giant).all(axis=1)
+            sizes = size[roots]
+            # rounds still in `left` have grown nothing, so the running sum
+            # at a round is the growth from the applied rounds before it
+            low = np.where(giant, g0 + np.cumsum(grow)[left, None], sizes)
+            high = np.where(giant, self.n, sizes)
+            first = low[:, 0] * low[:, 1] >= low[:, 2] * low[:, 3]
+            exact = free & (first == (high[:, 0] * high[:, 1] >= high[:, 2] * high[:, 3]))
+            exact[0] = True
 
-        a = np.where(first, roots[:, 0], roots[:, 2])
-        b = np.where(first, roots[:, 1], roots[:, 3])
-        join = exact & (a != b)
-        into = join & ((a == big) | (b == big))
-        other = (a + b - big)[into]  # the root that joins the giant
-        grow = np.zeros(count, dtype=np.int64)  # giant growth per round
-        grow[into] = size[other]
-        parent[other] = big
-        size[big] += grow.sum()
-        pair = join & ~into
-        pa, pb = a[pair], b[pair]
-        sa, sb = size[pa], size[pb]
-        swap = sa < sb  # union by size
-        top = np.where(swap, pb, pa)
-        parent[np.where(swap, pa, pb)] = top
-        size[top] = sa + sb
-        u = np.where(first, rows[:, 0], rows[:, 2])[join]
-        v = np.where(first, rows[:, 1], rows[:, 3])[join]
-        e1 = int(np.count_nonzero(first[exact]))
-
-        late = np.flatnonzero(~exact)
-        us: list[int] = []
-        vs: list[int] = []
-        grown: list[int] = []  # roots of the scalar pass's other merges
-        if len(late):
-            before = (np.cumsum(grow) - grow)[late].tolist()
-            extra = 0  # giant growth from the scalar rounds played so far
-            for g, quad, row in zip(before, roots[late].tolist(), rows[late].tolist()):
-                for i, x in enumerate(quad):
-                    while parent[x] != x:
-                        x = parent[x]
-                    quad[i] = int(x)
-                giant_size = g0 + g + extra
-                sz = [giant_size if x == big else int(size[x]) for x in quad]
-                if sz[0] * sz[1] >= sz[2] * sz[3]:
-                    e1 += 1
-                    x, y, edge = quad[0], quad[1], row[:2]
-                else:
-                    x, y, edge = quad[2], quad[3], row[2:]
-                if x == y:
-                    continue
-                if y == big or (x != big and size[x] < size[y]):
-                    x, y = y, x  # x keeps the root: the giant, else the larger
-                parent[y] = x
-                size[x] += size[y]
-                if x == big:
-                    extra += int(size[y])
-                else:
-                    grown.append(x)
-                us.append(edge[0])
-                vs.append(edge[1])
+            a = np.where(first, roots[:, 0], roots[:, 2])
+            b = np.where(first, roots[:, 1], roots[:, 3])
+            join = exact & (a != b)
+            into = join & ((a == big) | (b == big))
+            other = (a + b - big)[into]  # the root that joins the giant
+            grow[left[into]] = size[other]
+            parent[other] = big
+            size[big] += size[other].sum()
+            pair = join & ~into
+            pa, pb = a[pair], b[pair]
+            sa, sb = size[pa], size[pb]
+            swap = sa < sb  # union by size
+            top = np.where(swap, pb, pa)
+            parent[np.where(swap, pa, pb)] = top
+            size[top] = sa + sb
+            tops.append(top)
+            self._iso[np.where(first, quads[:, 0], quads[:, 2])[join]] = False
+            self._iso[np.where(first, quads[:, 1], quads[:, 3])[join]] = False
+            self._trees -= int(np.count_nonzero(join))
+            self.e1_rounds += int(np.count_nonzero(first[exact]))
+            left = left[~exact]
 
         # keep `_big` on a largest component: only components merged in this
         # block grew, and those still roots are the candidates
-        tops = np.concatenate((top, np.array(grown, dtype=np.int64)))
+        tops = np.concatenate(tops)
         tops = tops[parent[tops] == tops]
         if len(tops):
             best = tops[np.argmax(size[tops])]
             if size[best] > size[big]:
                 self._big = int(best)
-        self.e1_rounds += e1
-        self._trees -= len(u) + len(us)
-        self._iso[u] = self._iso[v] = False
-        self._iso[us] = self._iso[vs] = False
         self.blocks += 1
         return count
 

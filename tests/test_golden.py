@@ -6,8 +6,12 @@ results in scripts/results/ take minutes. To rewrite them after a change
 that is meant to alter the output, run
 
     PYTHONPATH=src python tests/test_golden.py
+
+The sidecars of the committed full-size results must describe the
+shipped configs that scripts/run_all.sh runs.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -15,6 +19,7 @@ import pytest
 from percolab.harness import ExperimentConfig, run_experiment, write_csv
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "harness_golden"
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 SMALL = dict(n=3000, replicates=3, seed=42)
 CONFIGS = {
@@ -38,6 +43,15 @@ def test_small_experiment_matches_golden_csv(name, tmp_path):
     out = tmp_path / f"{name}.csv"
     write_golden(name, out)
     assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_committed_sidecar_records_the_shipped_config(name):
+    meta = json.loads((SCRIPTS / "results" / f"{name}.csv.meta.json").read_text())
+    cfg = ExperimentConfig.from_json(str(SCRIPTS / "configs" / f"{name}.json"))
+    assert meta["config"] == cfg.to_dict()
+    assert "numba" not in meta["versions"]
+    assert meta["checks"] and all(c["passed"] for c in meta["checks"])
 
 
 if __name__ == "__main__":

@@ -473,6 +473,31 @@ def test_cli_experiment_config_errors_go_to_stderr(tmp_path):
     assert not out.exists()
 
 
+def test_cli_failed_experiment_leaves_no_output_directory(tmp_path):
+    """The missing parents of `out` are made only once the run succeeded."""
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"experiment": "moments", "n": 1000, "t_grid": [1.2],
+                             "out": "newdir/m.csv"}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "percolab", "experiment", "--config", str(p)],
+        capture_output=True, text=True, timeout=600, cwd=tmp_path,
+        env=child_env(),
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: t_grid must stay below tc - 0.05")
+    assert not (tmp_path / "newdir").exists()
+
+
+def test_output_under_a_regular_file_is_refused_before_the_run(tmp_path):
+    (tmp_path / "afile").write_text("")
+    cfg = ExperimentConfig(experiment="constants", n=100,
+                           out=str(tmp_path / "afile" / "sub" / "c.csv"))
+    with mock.patch("percolab.harness.run_experiment") as run, \
+            pytest.raises(InvalidConfigError, match="cannot write"):
+        run_config(cfg, quiet=True)
+    run.assert_not_called()
+
+
 def test_cli_numerical_failure_exits_3(tmp_path):
     p = tmp_path / "dist.csv"
     p.write_text("size,count\n1,500000\n2,250000\n")

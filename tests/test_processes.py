@@ -415,12 +415,44 @@ def test_product_round_sharing_a_component_with_its_block_is_played_late():
     assert sim.blocks == 1
 
 
+def test_product_chain_applies_one_round_per_pass():
+    """Each round reads the component the round before it grew, so each
+    pass over the rounds left applies only its first round: six rounds,
+    six passes, one block. The component grows 2, 3, ..., 7, taking the
+    first and the second edge in turn."""
+    rows = [
+        (10, 11, 12, 13),  # tie: 10-11
+        (12, 13, 11, 14),  # 1*1 < 2*1: the second edge, 14 joins {10, 11}
+        (14, 15, 16, 17),  # 3*1 > 1*1: 15 joins
+        (18, 19, 15, 20),  # 1*1 < 4*1: 20 joins
+        (20, 21, 22, 23),  # 5*1 > 1*1: 21 joins
+        (24, 25, 21, 26),  # 1*1 < 6*1: 26 joins
+    ]
+    out = []
+    for engine in ("auto", "python"):
+        with mock.patch.object(processes, "PRODUCT_BLOCK", 64):
+            sim = Simulation(ProcessKind.PRODUCT_RULE, 30, engine=engine)
+        sim._buf = np.array(rows, dtype=np.int64)
+        if engine == "auto":
+            with mock.patch.object(sim, "_find", wraps=sim._find) as find:
+                sim.advance_to(len(rows))
+            assert find.call_count == len(rows)  # one root lookup per pass
+            assert sim.blocks == 1
+        else:
+            sim.advance_to(len(rows))
+        out.append((sim.snapshot(), sim.e1_rounds, sim._pos))
+    assert out[0] == out[1]
+    snap, e1, pos = out[0]
+    assert (e1, pos, snap.dist.counts) == (3, len(rows), {1: 23, 7: 1})
+
+
 def test_product_choice_flips_as_the_giant_grows_inside_a_block():
-    """The giant {0..7} grows by one in round 0 (the vectorized pass) and by
-    one in round 1 (the scalar pass). Round 2 offers the giant with a
-    singleton against components of 5 and 2: at the giant's block-start
-    size 8 it would take the second edge, at its true size 10 it ties and
-    takes the first."""
+    """The giant {0..7} grows by one in round 0 (applied by the first pass)
+    and by one in round 1 (applied by the second, since round 0 read 16).
+    Round 2 offers the giant with a singleton against components of 5 and
+    2: at the giant's block-start size 8 plus the growth of round 0 it
+    would take the second edge, at its true size 10 it ties and takes the
+    first."""
     rows = [
         (0, 15, 16, 17),  # 8*1 > 1*1: 15 joins the giant
         (16, 15, 18, 19),  # 16 was read by round 0; 1*9 > 1*1: 16 joins the giant
@@ -436,8 +468,8 @@ def test_product_choice_flips_as_the_giant_grows_inside_a_block():
 
 def test_product_snapshot_checks_its_union_find():
     for later in (
-        [(0, 1, 0, 1)],  # the second merge of 0 and 1 in the vectorized pass
-        [(1, 2, 4, 5), (0, 1, 6, 7)],  # 1 was read by the round before: the scalar pass
+        [(0, 1, 0, 1)],  # the second merge of 0 and 1 in the first pass
+        [(1, 2, 4, 5), (0, 1, 6, 7)],  # 1 was read by the round before: the second pass
     ):
         with mock.patch.object(processes, "PRODUCT_BLOCK", 64):
             sim = Simulation(ProcessKind.PRODUCT_RULE, 8)
