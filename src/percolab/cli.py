@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 invalid configuration or arguments,
-3 numerical failure, 4 threshold violation under --check (or no check
-emitted at all).
+Exit codes: 0 success, 2 invalid configuration or arguments (an n or
+replicate count too large to allocate included), 3 numerical failure,
+4 threshold violation under --check (or no check emitted at all).
 """
 from __future__ import annotations
 
@@ -160,6 +160,9 @@ def main(argv=None) -> int:
         return handlers[args.command](args)
     except InvalidConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 2
     except NumericalFailureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

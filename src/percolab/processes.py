@@ -18,11 +18,12 @@ proposals is sorted once, its distinct keys are looked up in that array
 in sorted order, and the new ones are merged in. The two-choice rules
 decide speculative blocks of about sqrt(n) rows on the state at block
 start: bf on the isolation bitmap, and the product rule on exact
-component sizes. For the product rule one vectorized pass applies every
-round of a block whose components no earlier pending round reads and
-whose choice cannot change as the giant grows, merging straight into the
-forest, and repeats on the rounds left until none is. A snapshot is the
-histogram of the sizes at the roots.
+component sizes. For the product rule each block takes as its giant the
+largest component it reads; one vectorized pass applies every round of
+the block whose other components no earlier pending round reads and
+whose choice cannot change as that giant grows, merging straight into
+the forest through one hook, and repeats on the rounds left until none
+is. A snapshot is the histogram of the sizes at the roots.
 
 One run attempts at most MAX_ATTEMPTS insertions; asking for more
 raises InvalidConfigError, since no run of that length could finish.
@@ -248,7 +249,6 @@ class Simulation:
         self.blocks = 0  # speculative bf and product blocks decided by the batch engine
         self._buf: np.ndarray | None = None
         self._pos = 0
-        self._cols = 4 if kind.two_choice else 2
         # without replacement the main process can insert each free pair once
         self._free_pairs = None
         if kind is ProcessKind.ER_WITHOUT_REPLACEMENT:
@@ -278,7 +278,6 @@ class Simulation:
         self._parent = np.arange(n, dtype=np.int64)
         self._size = np.ones(n, dtype=np.int64)  # valid at roots only
         self._iso = np.ones(n, dtype=bool)
-        self._big = 0  # the product rule's root of a largest component; -1 after a fold
         self._trees = n  # n minus the merges made, for the snapshot self-check
         self._pending: list[tuple[np.ndarray, np.ndarray]] = []  # edges not yet in the forest
         self._npending = 0
@@ -292,7 +291,6 @@ class Simulation:
             self._size[starts] = sizes
             self._iso[:k] = np.repeat(sizes == 1, sizes)
             self._trees -= k - len(sizes)
-            self._big = int(starts[np.argmax(sizes)])
         if self.kind is ProcessKind.ER_WITHOUT_REPLACEMENT:
             # sorted keys u*n+v (u < v) of the edges present, closed by n*n,
             # which is above every key, so a lookup never runs off the end
@@ -312,11 +310,10 @@ class Simulation:
     # -- proposal stream -------------------------------------------------
 
     def _refill(self, cols: int) -> None:
-        if self._buf is None or self._pos >= len(self._buf) or self._cols != cols:
+        if self._buf is None or self._pos >= len(self._buf) or self._buf.shape[1] != cols:
             # switching proposal shape discards any buffered rows
             self._buf = self.rng.integers(0, self.n, size=(CHUNK, cols), dtype=np.int64)
             self._pos = 0
-            self._cols = cols
 
     # -- main process ----------------------------------------------------
 
@@ -444,7 +441,6 @@ class Simulation:
         """
         if not self._pending:
             return
-        self._big = -1  # merges the product rule did not see: it finds its giant again
         parent, size = self._parent, self._size
         a = self._find(np.concatenate([p[0] for p in self._pending]))
         b = self._find(np.concatenate([p[1] for p in self._pending]))
@@ -560,40 +556,41 @@ class Simulation:
         """One block of product-rule rounds on the int64 union-find.
 
         One vectorized pass repeats over `left`, the rounds of the block not
-        yet applied, in row order (deterministic reservations). It finds the
-        live roots of their vertices and calls a round free when none of its
-        roots but the giant's (`_big`) was read by an earlier round of
-        `left`. Every round applied so far merged only roots that no earlier
-        unapplied round read, so a free round's other components have the
-        sizes they have in row order. Only the giant's size G may differ: in
-        row order it is the block-start size g0 plus the growth from every
-        earlier round, known exactly for the rounds already applied. Each
-        product has the form c*G**d, so the choice is monotone in G, and a
-        free round whose choice is the same at that lower end and at G = n
-        is exact. The first round of `left` follows only applied rounds, so
-        its lower end is the giant's true size: it is always exact, and the
-        loop ends. The exact rounds are applied at once: merges into the
-        giant keep `_big` as the root, and every other merge joins two roots
-        that no other round of the pass reads.
+        yet applied, in row order (deterministic reservations). The first
+        pass picks the block's giant, a stand-in for the largest component:
+        the largest root the block reads. It stays a root, since every merge
+        with it hooks the other root under it, and its size only grows. Each
+        pass finds the live roots of the rounds left and calls a round free
+        when none of its roots but the giant's was read by an earlier round
+        of `left`. Every round applied so far merged only roots that no
+        earlier unapplied round read, so a free round's other components
+        have the sizes they have in row order. Only the giant's size G may
+        differ: in row order it is the block-start size g0 plus the growth
+        from every earlier round, known exactly for the rounds already
+        applied. Each product has the form c*G**d, so the choice is monotone
+        in G, and a free round whose choice is the same at that lower end
+        and at G = n is exact. The first round of `left` follows only
+        applied rounds, so its lower end is the giant's true size: it is
+        always exact, and the loop ends. The exact rounds are applied at
+        once by one hook, whose children no other round of the pass reads.
         """
         self._fold()  # initial and continuation edges change the sizes read
-        if self._big < 0:
-            roots = np.flatnonzero(self._parent == np.arange(self.n))
-            self._big = int(roots[np.argmax(self._size[roots])])
         rows = self._buf[self._pos:self._pos + min(need, self._block)]
         self._pos += len(rows)
         if not self.loops:
             rows = rows[(rows[:, 0] != rows[:, 1]) & (rows[:, 2] != rows[:, 3])]
         count = len(rows)
-        parent, size, big = self._parent, self._size, self._big
+        parent, size = self._parent, self._size
         stamp = self._stamp  # earliest round of the pass reading each root
-        g0 = int(size[big])
+        big = -1  # the block's giant, picked by the first pass
         grow = np.zeros(count, dtype=np.int64)  # giant growth per applied round
-        tops = [np.empty(0, dtype=np.int64)]  # roots of the merges that did not join the giant
         left = np.arange(count)
         while len(left):
             quads = rows[left]
             roots = self._find(quads.ravel())
+            if big < 0:
+                big = roots[np.argmax(size[roots])]
+                g0 = size[big]
             turn = np.repeat(np.arange(len(left)), 4)
             np.minimum.at(stamp, roots, turn)
             fresh = stamp[roots] == turn
@@ -613,33 +610,20 @@ class Simulation:
             a = np.where(first, roots[:, 0], roots[:, 2])
             b = np.where(first, roots[:, 1], roots[:, 3])
             join = exact & (a != b)
-            into = join & ((a == big) | (b == big))
-            other = (a + b - big)[into]  # the root that joins the giant
-            grow[left[into]] = size[other]
-            parent[other] = big
-            size[big] += size[other].sum()
-            pair = join & ~into
-            pa, pb = a[pair], b[pair]
-            sa, sb = size[pa], size[pb]
-            swap = sa < sb  # union by size
-            top = np.where(swap, pb, pa)
-            parent[np.where(swap, pa, pb)] = top
-            size[top] = sa + sb
-            tops.append(top)
+            a, b = a[join], b[join]
+            # the child goes under the giant, else the smaller under the
+            # larger, ties to a
+            keep = (b != big) & ((a == big) | (size[a] >= size[b]))
+            top = np.where(keep, a, b)
+            child = a + b - top
+            grow[left[join]] = np.where(top == big, size[child], 0)
+            parent[child] = top
+            np.add.at(size, top, size[child])
             self._iso[np.where(first, quads[:, 0], quads[:, 2])[join]] = False
             self._iso[np.where(first, quads[:, 1], quads[:, 3])[join]] = False
-            self._trees -= int(np.count_nonzero(join))
+            self._trees -= len(child)
             self.e1_rounds += int(np.count_nonzero(first[exact]))
             left = left[~exact]
-
-        # keep `_big` on a largest component: only components merged in this
-        # block grew, and those still roots are the candidates
-        tops = np.concatenate(tops)
-        tops = tops[parent[tops] == tops]
-        if len(tops):
-            best = tops[np.argmax(size[tops])]
-            if size[best] > size[big]:
-                self._big = int(best)
         self.blocks += 1
         return count
 

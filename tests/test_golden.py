@@ -8,15 +8,19 @@ that is meant to alter the output, run
     PYTHONPATH=src python tests/test_golden.py
 
 The sidecars of the committed full-size results must describe the
-shipped configs that scripts/run_all.sh runs.
+shipped configs that scripts/run_all.sh runs, and this numpy must draw
+the stream they were made with.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from percolab.harness import ExperimentConfig, run_experiment, write_csv
+from percolab.processes import CHUNK
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "harness_golden"
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -52,6 +56,20 @@ def test_committed_sidecar_records_the_shipped_config(name):
     assert meta["config"] == cfg.to_dict()
     assert "numba" not in meta["versions"]
     assert meta["checks"] and all(c["passed"] for c in meta["checks"])
+
+
+def test_numpy_draws_the_stream_the_goldens_were_made_with():
+    """NumPy does not promise that Generator streams stay the same across
+    releases, and every golden CSV is byte for byte, so a changed stream
+    is named as the cause before any golden comparison is read."""
+    made_with = {json.loads(p.read_text())["versions"]["numpy"]
+                 for p in (SCRIPTS / "results").glob("*.meta.json")}
+    rng = np.random.default_rng(42)
+    rows = rng.integers(0, 3000, size=(CHUNK, 4), dtype=np.int64)
+    got = (hashlib.sha256(rows[:1024].tobytes()).hexdigest()[:16], int(rng.poisson(899.4)))
+    assert got == ("b71c2ab14ffc0735", 877), (
+        f"numpy {np.__version__} draws another stream than numpy "
+        f"{', '.join(sorted(made_with))}, which made the golden results")
 
 
 if __name__ == "__main__":

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import pickle
+import resource
 import subprocess
 import sys
 from unittest import mock
@@ -30,10 +31,11 @@ from percolab.harness import (
 HEADER = "experiment,run_id,seed,n,process,t,delta,observable,value,prediction,pred_source,abs_err,rel_err,stderr"
 
 
-def cli(*args, timeout=600):
+def cli(*args, timeout=600, preexec_fn=None):
     proc = subprocess.run(
         [sys.executable, "-m", "percolab", *args],
         capture_output=True, text=True, timeout=timeout, env=child_env(),
+        preexec_fn=preexec_fn,
     )
     return proc
 
@@ -486,6 +488,29 @@ def test_cli_failed_experiment_leaves_no_output_directory(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: t_grid must stay below tc - 0.05")
     assert not (tmp_path / "newdir").exists()
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+
+@pytest.mark.parametrize("args", [
+    ("simulate", "--process", "er-wr", "--n", "1000000000000", "--t", "0.5", "--seed", "1"),
+    ("experiment", "--config", "{tmp}/huge.json"),
+])
+def test_cli_out_of_memory_exits_2_without_a_traceback(tmp_path, args):
+    """An n too large to allocate (7.28 TiB of forest) is a usage error. The
+    child's address space is capped at 4 GiB, so the allocation fails at
+    once instead of reaching for the machine's memory."""
+    (tmp_path / "huge.json").write_text(json.dumps(
+        {"experiment": "moments", "n": 10**12, "t_grid": [0.5],
+         "out": str(tmp_path / "m.csv")}))
+    proc = cli(*(a.replace("{tmp}", str(tmp_path)) for a in args),
+               preexec_fn=_cap_address_space)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: out of memory")
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "m.csv").exists()
 
 
 def test_output_under_a_regular_file_is_refused_before_the_run(tmp_path):

@@ -70,8 +70,8 @@ def test_initial_graph_is_built_straight_into_the_forest(kind, n):
     assert (sim._pending, sim._npending) == ([], 0)
     assert (sim._parent[sim._parent] == sim._parent).all()
     assert sim._trees == n - sum((s - 1) * c for s, c in spec.parts)
-    assert sim._parent[sim._big] == sim._big
-    assert sim._size[sim._big] == 7
+    roots = np.flatnonzero(sim._parent == np.arange(n))
+    assert sim._size[roots].max() == 7
     want = spec.to_distribution(n)
     assert np.count_nonzero(sim._iso) == want.n1
     assert sim.snapshot().dist == want
@@ -372,15 +372,20 @@ def test_product_engine_parity_with_chunk_of_one_row():
 def test_product_giant_root_survives_folds_of_every_size():
     """The initial graph is built straight into the forest, and with
     CHUNK = 1 every continuation edge is folded as it is inserted, so no
-    edge is left buffered when a block starts; each block must still read a
-    root of a largest component as its giant."""
+    edge is left buffered when a block starts; after every step the batch
+    engine must still agree with the scalar one."""
+    steps = []
     with mock.patch.object(processes, "CHUNK", 1):
-        sim = Simulation(ProcessKind.PRODUCT_RULE, 300, initial="8:1,2:20", seed=4)
-        for m, extra in ((1, 0), (40, 150), (41, 0), (80, 150), (81, 0)):
-            sim.advance_to(m)
-            assert sim._parent[sim._big] == sim._big
-            assert sim._size[sim._big] == sim.snapshot().c1
-            sim.add_er_edges(extra)
+        for engine in processes.ENGINES:
+            sim = Simulation(ProcessKind.PRODUCT_RULE, 300, initial="8:1,2:20", seed=4,
+                             engine=engine)
+            seen = []
+            for m, extra in ((1, 0), (40, 150), (41, 0), (80, 150), (81, 0)):
+                sim.advance_to(m)
+                seen.append((sim.snapshot(), sim.e1_rounds, sim.rng.bit_generator.state))
+                sim.add_er_edges(extra)
+            steps.append(seen)
+    assert steps[0] == steps[1]
 
 
 def product_on_rows(rows, n, initial):
@@ -463,7 +468,29 @@ def test_product_choice_flips_as_the_giant_grows_inside_a_block():
     assert batch == scalar
     snap, e1, _ = batch
     assert (e1, snap.dist.counts) == (4, {1: 10, 2: 2, 5: 1, 11: 1})
-    assert sim._size[sim._big] == 11
+
+
+def test_product_giant_is_the_largest_component_its_block_reads():
+    """The block never reads the component of 8, so its giant is the
+    component of 3 on vertices 8..10. A pair merge grows past the giant,
+    later rounds read that component beside the giant, round 6 hooks it
+    under the smaller giant and round 7, which waits for round 5 to read
+    22, grows the giant in the same pass as round 6."""
+    rows = [
+        (8, 9, 12, 13),  # 3*3 > 1*1: the first edge, inside the giant
+        (12, 13, 14, 15),  # tie: 12-13
+        (16, 17, 12, 14),  # 1*1 < 2*1: 14 joins {12, 13}
+        (18, 19, 14, 15),  # 1*1 < 3*1: 15 joins, a component of 4 beside the giant's 3
+        (12, 20, 8, 21),  # 4*1 > 3*1: 20 joins the component of 4
+        (8, 22, 12, 23),  # 3*1 < 5*1: 23 joins the component of 5
+        (8, 12, 24, 25),  # 3*6 > 1*1: the component of 6 joins the giant
+        (8, 22, 27, 28),  # 9*1 > 1*1: 22 joins the giant, in the pass of round 6
+    ]
+    (batch, scalar), sim = product_on_rows(rows, 30, initial="8:1,3:1")
+    assert batch == scalar
+    snap, e1, pos = batch
+    assert (e1, pos, snap.dist.counts) == (5, len(rows), {1: 12, 8: 1, 10: 1})
+    assert sim.blocks == 1
 
 
 def test_product_snapshot_checks_its_union_find():
