@@ -13,9 +13,13 @@ record points and reports:
 - rss_import_mb, ru_maxrss after import, for reference.
 
 It also times find_tc, uncached, and solve_rho on half of the vertices
-in pairs (median of 5 calls each).
+in pairs (median of 5 calls each), and four cold starts, each the median
+of 5 fresh interpreters, by wall time and the child's ru_maxrss:
+`import percolab, percolab.cli`, and `python -m percolab` running
+`simulate` (bf, n = 2e5 to t = 1), `fixed-point` (half_pairs.csv at
+t = 1) and `ode`.
 
-    python scripts/bench.py --label change [--src src] [--out BENCH_10.json]
+    python scripts/bench.py --label change [--src src] [--out BENCH_12.json]
 
 runs the percolab found under --src (default: this checkout's src) and
 stores the results under --label in --out, keeping the other labels
@@ -41,6 +45,16 @@ POINTS = (1, 50)
 T_END = 1.3
 SEED = 1
 ROOT = Path(__file__).resolve().parents[1]
+# (name, interpreter arguments) of each cold start
+COLD_STARTS = (
+    ("import", ("-c", "import percolab, percolab.cli")),
+    ("simulate", ("-m", "percolab", "simulate", "--process", "bf", "--n", "200000",
+                  "--t", "1", "--seed", "1")),
+    ("fixed-point", ("-m", "percolab", "fixed-point",
+                     "--dist", str(ROOT / "scripts" / "data" / "half_pairs.csv"), "--t", "1")),
+    ("ode", ("-m", "percolab", "ode")),
+)
+COLD_REPEATS = 5
 
 
 def _rss_mb() -> float:
@@ -102,6 +116,23 @@ def machine() -> dict:
             "scipy": scipy.__version__}
 
 
+def cold_start(src: Path, args: tuple[str, ...]) -> dict:
+    """Median wall time and peak RSS of fresh interpreters running args."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    quiet = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
+    walls, rss = [], []
+    for _ in range(COLD_REPEATS):
+        t0 = time.perf_counter()
+        pid = os.posix_spawn(sys.executable, [sys.executable, *args], env, file_actions=quiet)
+        _, status, usage = os.wait4(pid, 0)  # the rusage of this child alone
+        walls.append(time.perf_counter() - t0)
+        if os.waitstatus_to_exitcode(status) != 0:
+            raise SystemExit(f"cold start {' '.join(args)} failed")
+        rss.append(usage.ru_maxrss / 1024)  # KiB on Linux
+    return {"wall_s": round(statistics.median(walls), 4),
+            "maxrss_mb": round(statistics.median(rss), 1)}
+
+
 def run_child(src: Path, *args: str) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run([sys.executable, str(Path(__file__).resolve()), *args],
@@ -113,7 +144,7 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", help="key the results are stored under")
     ap.add_argument("--src", type=Path, default=ROOT / "src")
-    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_10.json")
+    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_12.json")
     ap.add_argument("--case", nargs=4, metavar=("KIND", "INITIAL", "N", "POINTS"),
                     help=argparse.SUPPRESS)
     ap.add_argument("--solvers", action="store_true", help=argparse.SUPPRESS)
@@ -136,10 +167,15 @@ def main() -> None:
                 print(json.dumps(case), file=sys.stderr)
                 cases.append(case)
     solved = run_child(src, "--solvers")
+    cold = {}
+    for name, cmd in COLD_STARTS:
+        cold[name] = cold_start(src, cmd)
+        print(json.dumps({name: cold[name]}), file=sys.stderr)
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc["machine"] = solved.pop("machine")
     doc.setdefault("runs", {})[args.label] = {"t_end": T_END, "seed": SEED,
-                                              "solvers": solved, "cases": cases}
+                                              "solvers": solved, "cases": cases,
+                                              "cold_start": cold}
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
 
 

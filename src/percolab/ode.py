@@ -10,6 +10,12 @@ located on the transformed system in
 which stays regular through the singularity; t_c is the first zero of
 f. The growth constants follow algebraically from xbar(t_c) and
 g(t_c).
+
+scipy's integrator, root finder and quadrature are imported by the
+functions that call them, since loading them costs more than the rest of
+the package together; code that never integrates the system does not
+load them, and load_solvers() imports them up front, for callers that
+would rather pay that before a run.
 """
 from __future__ import annotations
 
@@ -18,8 +24,6 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, solve_ivp
-from scipy.optimize import brentq
 
 from .errors import BlowUpError, BracketError, CriticalWindowError, NumericalFailureError
 
@@ -32,6 +36,7 @@ __all__ = [
     "deriv_transformed",
     "integrate",
     "find_tc",
+    "load_solvers",
     "sbar_k",
     "h_value",
     "integrating_factor_G",
@@ -42,6 +47,12 @@ RAW_S2_CAP = 1.0e6  # the raw system is never integrated past this
 F_FLOOR = 1.0e-6  # moments are not reported closer to critical than this
 T_SPAN_MAX = 1.4  # comfortably past the critical time
 DEFAULT_ODE_TOL = 1.0e-10
+
+
+def load_solvers() -> None:
+    """Import the scipy modules that integrate the limit system and locate t_c."""
+    import scipy.integrate  # noqa: F401
+    import scipy.optimize  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -131,6 +142,8 @@ def integrate(system: str = "transformed", t_end: float = T_SPAN_MAX,
     the pure uniform-edge limit. Integrating the raw system into the
     blow-up raises BlowUpError.
     """
+    from scipy.integrate import solve_ivp
+
     if system == "raw":
         y0 = [xbar0, 1.0, 1.0, 1.0]
         deriv = deriv_raw
@@ -191,6 +204,8 @@ class CriticalConstants:
 
 
 def _locate_tc(traj: Trajectory, xtol: float) -> float:
+    from scipy.optimize import brentq
+
     ts = np.linspace(0.9, traj.t_end, 101)
     fs = [traj.f(t) for t in ts]
     for i in range(len(ts) - 1):
@@ -282,6 +297,8 @@ def _grid_values(traj: Trajectory, t: float, npts: int):
 
 def integrating_factor_G(traj: Trajectory, t: float, npts: int = 2001) -> float:
     """G(t) = 3 * integral of xbar^2 f on [0, t], by Simpson quadrature."""
+    from scipy.integrate import cumulative_simpson
+
     ts, x2, f = _grid_values(traj, t, npts)
     return 3.0 * float(cumulative_simpson(x2 * f, x=ts, initial=0.0)[-1])
 
@@ -291,6 +308,8 @@ def reconstruct_g(traj: Trajectory, t: float, npts: int = 2001) -> float:
 
     g(t) = exp(-G(t)) * (1 + 3 * integral of exp(G) xbar^2 f^3).
     """
+    from scipy.integrate import cumulative_simpson
+
     ts, x2, f = _grid_values(traj, t, npts)
     G = 3.0 * cumulative_simpson(x2 * f, x=ts, initial=0.0)
     inner = cumulative_simpson(np.exp(G) * x2 * f**3, x=ts, initial=0.0)

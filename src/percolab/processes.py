@@ -39,6 +39,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # numpy loads it lazily; load it with this module, not in a first run
 
 from .errors import InvalidConfigError
 from .ledger import SizeDistribution, add_edge, ledger_init, snapshot_distribution
