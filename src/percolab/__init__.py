@@ -27,7 +27,6 @@ from .giant import (
 from .harness import ExperimentConfig, run_config, run_experiment
 from .ledger import (
     DisjointSetForest,
-    MergeOutcome,
     MomentLedger,
     SizeDistribution,
     add_edge,
@@ -44,9 +43,7 @@ from .ode import (
     deriv_raw,
     deriv_transformed,
     find_tc,
-    h_value,
     integrate,
-    integrating_factor_G,
     reconstruct_g,
     sbar_k,
 )

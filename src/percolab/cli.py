@@ -40,8 +40,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="initial components as size:count,... (default empty)")
     p_sim.add_argument("--record", default="",
                        help="comma list of record times (default: end time only)")
-    p_sim.add_argument("--no-loops", action="store_true",
-                       help="resample proposals containing loops")
     p_sim.add_argument("--engine", choices=ENGINES, default="auto",
                        help="auto: batch engine; python: scalar reference (default auto)")
 
@@ -91,7 +89,7 @@ def _cmd_simulate(args) -> int:
         raise InvalidConfigError(f"bad --record list {args.record!r}: {exc}") from exc
     records = run_process(
         args.process, args.n, initial=args.initial, t_end=args.t,
-        record_at=record, seed=args.seed, loops=not args.no_loops, engine=args.engine,
+        record_at=record, seed=args.seed, engine=args.engine,
     )
     print("t,m,s2,s3,s4,c1_frac,c2_frac,x1")
     for r in records:

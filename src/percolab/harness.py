@@ -71,6 +71,10 @@ GROWTH_LEVEL_DELTA = 0.1
 # growth deltas above this get no prediction and stay out of the slope fit:
 # the linear law is only established near the transition
 SLOPE_MAX_DELTA = 0.15
+# a block holds each replicate's seed, spec, result and rows at once, 2.5 kB
+# per grid point, and a run draws a CHUNK of proposals, so 1e5 replicates take
+# minutes and hundreds of MB; their standard error is 0.3% of one run's spread
+MAX_REPLICATES = 100_000
 
 
 @dataclass(frozen=True)
@@ -191,8 +195,10 @@ class ExperimentConfig:
             )
         if self.n < 10:
             raise InvalidConfigError("n must be >= 10")
-        if self.replicates < 1:
-            raise InvalidConfigError("replicates must be >= 1")
+        if not 1 <= self.replicates <= MAX_REPLICATES:
+            raise InvalidConfigError(f"replicates must lie in [1, {MAX_REPLICATES}]")
+        if self.seed < 0:
+            raise InvalidConfigError("seed must be >= 0")
         if self.workers < 1:
             raise InvalidConfigError("workers must be >= 1")
         if contract.grid and not getattr(self, contract.grid):
@@ -201,6 +207,10 @@ class ExperimentConfig:
             raise InvalidConfigError("t_grid must be sorted ascending")
         if any(t < 0 for t in self.t_grid):
             raise InvalidConfigError("t_grid entries must be >= 0")
+        if self.experiment == "giant" and any(t == 0 for t in self.t_grid):
+            raise InvalidConfigError("giant t_grid entries must be > 0")
+        if self.experiment == "variant_agreement" and self.replicates < 2:
+            raise InvalidConfigError("variant_agreement needs replicates >= 2")
         if self.experiment == "growth":
             if any(d < 0 or d > 0.3 for d in self.delta_grid):
                 raise InvalidConfigError("growth deltas must lie in [0, 0.3]")
@@ -660,7 +670,7 @@ def write_meta(csv_path: str, cfg: ExperimentConfig, elapsed: float,
     _write_atomic(Path(csv_path + ".meta.json"), json.dumps(meta, indent=2) + "\n")
 
 
-def run_config(cfg: ExperimentConfig, check: bool = False, quiet: bool = False) -> int:
+def run_config(cfg: ExperimentConfig, check: bool = False) -> int:
     """Run, persist and (optionally) enforce an experiment; returns an exit
     code. An invalid config or an output path that cannot be written raises
     InvalidConfigError, and a solver failure NumericalFailureError."""
@@ -680,12 +690,11 @@ def run_config(cfg: ExperimentConfig, check: bool = False, quiet: bool = False) 
     except OSError as exc:
         raise InvalidConfigError(f"cannot write {cfg.out}: {exc}") from exc
     failed = sum(not c.passed for c in outcome.checks)
-    if not quiet:
-        for c in outcome.checks:
-            print(f"[{'PASS' if c.passed else 'FAIL'}] {c.name}: {c.detail}")
-        print(f"{len(outcome.checks)} checks, {failed} failed")
-        print(f"wrote {cfg.out} ({len(outcome.rows)} rows)")
-    if check and not outcome.checks and not quiet:
+    for c in outcome.checks:
+        print(f"[{'PASS' if c.passed else 'FAIL'}] {c.name}: {c.detail}")
+    print(f"{len(outcome.checks)} checks, {failed} failed")
+    print(f"wrote {cfg.out} ({len(outcome.rows)} rows)")
+    if check and not outcome.checks:
         print("--check needs at least one check; this experiment emitted none")
     if check and (failed or not outcome.checks):
         return 4

@@ -18,7 +18,6 @@ from .errors import InvalidConfigError
 __all__ = [
     "DisjointSetForest",
     "MomentLedger",
-    "MergeOutcome",
     "SizeDistribution",
     "BruteMoments",
     "ledger_init",
@@ -44,23 +43,6 @@ def delta_k(a: int, b: int, k: int) -> int:
     if k == 4:
         return 2 * a * b * (2 * a * a + 3 * a * b + 2 * b * b)
     raise ValueError("moment order must be 2, 3 or 4")
-
-
-@dataclass(frozen=True)
-class MergeOutcome:
-    """Result of one edge insertion: merged(a, b), same_component or loop."""
-
-    kind: str
-    a: int = 0
-    b: int = 0
-
-    MERGED = "merged"
-    SAME_COMPONENT = "same_component"
-    LOOP = "loop"
-
-
-_SAME = MergeOutcome(MergeOutcome.SAME_COMPONENT)
-_LOOP = MergeOutcome(MergeOutcome.LOOP)
 
 
 class DisjointSetForest:
@@ -95,7 +77,6 @@ class MomentLedger:
     s_sums: list[int]
     c1_size: int
     n1_isolated: int
-    edge_insertions: int = 0
 
     @property
     def n(self) -> int:
@@ -116,17 +97,14 @@ def ledger_init(n: int) -> tuple[DisjointSetForest, MomentLedger]:
     return forest, MomentLedger(s_sums=[n, n, n, n], c1_size=1, n1_isolated=n)
 
 
-def add_edge(forest: DisjointSetForest, ledger: MomentLedger, u: int, v: int) -> MergeOutcome:
+def add_edge(forest: DisjointSetForest, ledger: MomentLedger, u: int, v: int) -> None:
     """Insert edge {u, v}; loops and duplicate edges are legal no-ops."""
     if not (0 <= u < forest.n and 0 <= v < forest.n):
         raise InvalidConfigError(f"vertex index out of range: ({u}, {v})")
-    ledger.edge_insertions += 1
-    if u == v:
-        return _LOOP
     ru = forest.find(u)
     rv = forest.find(v)
     if ru == rv:
-        return _SAME
+        return
     a = forest.comp_size[ru]
     b = forest.comp_size[rv]
     if a >= b:
@@ -140,7 +118,6 @@ def add_edge(forest: DisjointSetForest, ledger: MomentLedger, u: int, v: int) ->
     if a + b > ledger.c1_size:
         ledger.c1_size = a + b
     ledger.n1_isolated -= (a == 1) + (b == 1)
-    return MergeOutcome(MergeOutcome.MERGED, a, b)
 
 
 @dataclass

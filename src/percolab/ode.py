@@ -38,8 +38,6 @@ __all__ = [
     "find_tc",
     "load_solvers",
     "sbar_k",
-    "h_value",
-    "integrating_factor_G",
     "reconstruct_g",
 ]
 
@@ -279,38 +277,17 @@ def sbar_k(traj: Trajectory, t: float) -> tuple[float, float, float]:
     return s2, s3, s4
 
 
-def h_value(traj: Trajectory, t: float) -> float:
-    """sbar4/sbar2^4, defined only while f stays above its floor."""
-    st = traj.transformed_state(t)
-    if st.f < F_FLOOR:
-        raise CriticalWindowError("h is not exposed this close to the critical time")
-    return st.h1 + 3.0 * st.g * st.g / st.f
-
-
-def _grid_values(traj: Trajectory, t: float, npts: int):
-    ts = np.linspace(0.0, t, npts)
-    states = traj._sol(ts)
-    x2 = states[0] ** 2
-    f = states[1]
-    return ts, x2, f
-
-
-def integrating_factor_G(traj: Trajectory, t: float, npts: int = 2001) -> float:
-    """G(t) = 3 * integral of xbar^2 f on [0, t], by Simpson quadrature."""
-    from scipy.integrate import cumulative_simpson
-
-    ts, x2, f = _grid_values(traj, t, npts)
-    return 3.0 * float(cumulative_simpson(x2 * f, x=ts, initial=0.0)[-1])
-
-
 def reconstruct_g(traj: Trajectory, t: float, npts: int = 2001) -> float:
     """g(t) rebuilt from the integrating factor, independent of the g ODE.
 
-    g(t) = exp(-G(t)) * (1 + 3 * integral of exp(G) xbar^2 f^3).
+    g(t) = exp(-G(t)) * (1 + 3 * integral of exp(G) xbar^2 f^3), where the
+    integrating factor G(t) is 3 * integral of xbar^2 f on [0, t].
     """
     from scipy.integrate import cumulative_simpson
 
-    ts, x2, f = _grid_values(traj, t, npts)
+    ts = np.linspace(0.0, t, npts)
+    states = traj._sol(ts)
+    x2, f = states[0] ** 2, states[1]
     G = 3.0 * cumulative_simpson(x2 * f, x=ts, initial=0.0)
     inner = cumulative_simpson(np.exp(G) * x2 * f**3, x=ts, initial=0.0)
     return float(math.exp(-G[-1]) * (1.0 + 3.0 * inner[-1]))

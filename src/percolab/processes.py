@@ -28,9 +28,9 @@ is. A snapshot is the histogram of the sizes at the roots.
 One run attempts at most MAX_ATTEMPTS insertions; asking for more
 raises InvalidConfigError, since no run of that length could finish.
 
-Process time follows t = 2m/n where m counts attempted insertions
-(rounds for the two-choice rules), with m = floor(n*t/2) at the end
-time and record instants snapped to the nearest attempted-edge index.
+Process time follows t = 2m/n where m counts attempted insertions: every
+two-choice round, a loop too, and every uniform proposal but a loop. At
+the end time m = floor(n*t/2); record instants snap to the nearest m.
 """
 from __future__ import annotations
 
@@ -227,7 +227,7 @@ class Simulation:
     """
 
     def __init__(self, kind: ProcessKind, n: int, initial: InitialGraphSpec | str | None = None,
-                 seed: int = 0, loops: bool = True, engine: str = "auto"):
+                 seed: int = 0, engine: str = "auto"):
         if n < 2:
             raise InvalidConfigError("n must be >= 2")
         if engine not in ENGINES:
@@ -241,7 +241,6 @@ class Simulation:
         self.kind = kind
         self.n = n
         self.seed = seed
-        self.loops = loops
         self.engine = engine
         self.rng = np.random.default_rng(seed)
         self.m = 0  # attempted insertions of the main process
@@ -374,10 +373,8 @@ class Simulation:
             rows = self._buf[self._pos:self._pos + need - done].tolist()
             self._pos += len(rows)
             if kind.two_choice:
+                done += len(rows)
                 for v1, w1, v2, w2 in rows:
-                    if not self.loops and (v1 == w1 or v2 == w2):
-                        continue
-                    done += 1
                     if is_bf:
                         first = size[find(v1)] == 1 and size[find(w1)] == 1
                     else:
@@ -522,11 +519,6 @@ class Simulation:
         first such round; every round before it is exact.
         """
         rows = self._buf[self._pos:self._pos + min(need, self._block)]
-        span = len(rows)
-        at = None
-        if not self.loops:
-            at = np.flatnonzero((rows[:, 0] != rows[:, 1]) & (rows[:, 2] != rows[:, 3]))
-            rows = rows[at]
         v1, w1 = rows[:, 0], rows[:, 1]
         first = self._iso[v1] & self._iso[w1]
         a = np.where(first, v1, rows[:, 2])
@@ -547,10 +539,7 @@ class Simulation:
         keep = real[:cut]
         self._insert(a[:cut][keep], b[:cut][keep])
         self.blocks += 1
-        if cut == len(rows):
-            self._pos += span
-        else:
-            self._pos += cut if at is None else int(at[cut])
+        self._pos += cut
         return cut
 
     def _consume_product(self, need: int) -> int:
@@ -578,8 +567,6 @@ class Simulation:
         self._fold()  # initial and continuation edges change the sizes read
         rows = self._buf[self._pos:self._pos + min(need, self._block)]
         self._pos += len(rows)
-        if not self.loops:
-            rows = rows[(rows[:, 0] != rows[:, 1]) & (rows[:, 2] != rows[:, 3])]
         count = len(rows)
         parent, size = self._parent, self._size
         stamp = self._stamp  # earliest round of the pass reading each root
@@ -683,7 +670,7 @@ def _snap_index(n: int, t: float, m_end: int) -> int:
 
 def run_process(kind: ProcessKind | str, n: int, initial: InitialGraphSpec | str | None = None,
                 t_end: float = 1.0, record_at: tuple[float, ...] = (), seed: int = 0,
-                loops: bool = True, engine: str = "auto") -> list[TraceRecord]:
+                engine: str = "auto") -> list[TraceRecord]:
     """Run one process to t_end, recording observables on a schedule.
 
     Deterministic given (seed, kind, n, initial, schedule). record_at
@@ -698,7 +685,7 @@ def run_process(kind: ProcessKind | str, n: int, initial: InitialGraphSpec | str
         raise InvalidConfigError("record_at must be sorted ascending")
     if record_at and record_at[-1] > t_end:
         raise InvalidConfigError("record_at entries must not exceed t_end")
-    sim = Simulation(kind, n, initial=initial, seed=seed, loops=loops, engine=engine)
+    sim = Simulation(kind, n, initial=initial, seed=seed, engine=engine)
     records: list[TraceRecord] = []
     if kind is ProcessKind.ER_POISSON_TIME:
         prev_t = 0.0

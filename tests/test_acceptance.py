@@ -268,7 +268,7 @@ def test_10_experiment_reruns_byte_identical(tmp_path):
             "experiment": "giant", "n": 10**5, "replicates": 2, "seed": SEED,
             "t_grid": [0.6, 1.5], "workers": 2, "out": str(tmp_path / name),
         })
-        code = run_config(cfg, check=False, quiet=True)
+        code = run_config(cfg, check=False)
         assert code == 0
         blobs.append((tmp_path / name).read_bytes())
     ok = blobs[0] == blobs[1] and len(blobs[0]) > 0

@@ -9,6 +9,7 @@ import pickle
 import resource
 import subprocess
 import sys
+import time
 from unittest import mock
 
 import pytest
@@ -96,6 +97,13 @@ def test_config_from_dict_requires_experiment_and_n():
     {"experiment": "two_phase", "delta_grid": [0.1], "initial": "2:10"},
     {"experiment": "moments", "t_grid": [0.5], "initial": "2:10"},
     {"experiment": "growth", "delta_grid": [0.1], "initial": "2:10"},
+    # refused before any run: Simulation rejects a negative seed only after
+    # moments has integrated the limit system, solve_rho a giant time of 0
+    # only after every replicate ran, and one replicate leaves every
+    # variant_agreement gate an allowance of 0
+    {"seed": -1},
+    {"experiment": "giant", "t_grid": [0.0, 1.5]},
+    {"experiment": "variant_agreement", "replicates": 1},
 ])
 def test_config_validate_rejects(patch):
     base = {"experiment": "moments", "n": 1000, "t_grid": [0.5]}
@@ -147,6 +155,27 @@ def test_config_rejects_removed_keys_as_unknown(experiment, key, value):
            key: value}
     with pytest.raises(InvalidConfigError, match=f"unknown config keys: \\['{key}'\\]"):
         ExperimentConfig.from_dict(cfg)
+
+
+@pytest.mark.parametrize("n,replicates", [(1000, 10**12), (10, 10**9)])
+def test_config_rejects_more_replicates_than_a_block_can_hold(n, replicates, tmp_path):
+    """A block builds every replicate's seed and spec at once, so a huge
+    count would run out of memory only after a long allocation; it is
+    refused at once, and the largest count allowed still validates."""
+    from percolab.harness import MAX_REPLICATES
+
+    cfg = {"experiment": "moments", "n": n, "replicates": replicates, "t_grid": [0.5]}
+    start = time.perf_counter()
+    with pytest.raises(InvalidConfigError, match="replicates must lie in"):
+        ExperimentConfig.from_dict(cfg)
+    assert time.perf_counter() - start < 1.0
+    ExperimentConfig.from_dict({**cfg, "replicates": MAX_REPLICATES})
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({**cfg, "out": str(tmp_path / "m.csv")}))
+    proc = cli("experiment", "--config", str(p), timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: replicates must lie in")
+    assert not (tmp_path / "m.csv").exists()
 
 
 def test_config_roundtrips_through_dict():
@@ -252,7 +281,7 @@ def test_rerun_is_byte_identical(tmp_path):
     for name in ("a.csv", "b.csv"):
         cfg_dict["out"] = str(tmp_path / name)
         cfg = ExperimentConfig.from_dict(cfg_dict)
-        assert run_config(cfg, check=False, quiet=True) == 0
+        assert run_config(cfg, check=False) == 0
         texts.append((tmp_path / name).read_bytes())
     assert texts[0] == texts[1]
 
@@ -262,7 +291,7 @@ def test_run_config_writes_meta_sidecar(tmp_path):
     cfg = ExperimentConfig.from_dict(
         {"experiment": "constants", "n": 100, "out": str(out)}
     )
-    assert run_config(cfg, check=True, quiet=True) == 0
+    assert run_config(cfg, check=True) == 0
     meta = json.loads((tmp_path / "c.csv.meta.json").read_text())
     assert meta["config"]["experiment"] == "constants"
     assert all(c["passed"] for c in meta["checks"])
@@ -296,7 +325,7 @@ def test_check_fails_when_the_experiment_emits_no_check(tmp_path, capsys):
     })
     assert run_config(cfg, check=True) == 4
     assert "0 checks, 0 failed" in capsys.readouterr().out
-    assert run_config(cfg, check=False, quiet=True) == 0
+    assert run_config(cfg, check=False) == 0
 
 
 def test_growth_level_check_matches_a_delta_a_few_ulps_off():
@@ -381,6 +410,12 @@ def test_cli_bad_inputs_exit_2_without_a_traceback(tmp_path, args):
 def test_cli_simulate_rejects_numba_engine_and_er_beyond_complete_graph():
     assert cli("simulate", "--process", "bf", "--n", "10", "--t", "1",
                "--seed", "1", "--engine", "numba").returncode == 2
+    # a two-choice round counts as one attempt, loop or not; there is no other mode
+    proc = cli("simulate", "--process", "bf", "--n", "10", "--t", "1", "--seed", "1",
+               "--no-loops")
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --no-loops" in proc.stderr
+    assert "Traceback" not in proc.stderr
     # n=5 at t=5 asks for 12 distinct edges; the complete graph has 10
     proc = cli("simulate", "--process", "er", "--n", "5", "--t", "5", "--seed", "1")
     assert proc.returncode == 2
@@ -519,7 +554,7 @@ def test_output_under_a_regular_file_is_refused_before_the_run(tmp_path):
                            out=str(tmp_path / "afile" / "sub" / "c.csv"))
     with mock.patch("percolab.harness.run_experiment") as run, \
             pytest.raises(InvalidConfigError, match="cannot write"):
-        run_config(cfg, quiet=True)
+        run_config(cfg)
     run.assert_not_called()
 
 

@@ -40,7 +40,7 @@ for cfg in (
     {{"experiment": "variant_agreement", "n": 2000, "replicates": 2,
       "t_grid": [0.5], "out": "variants.csv"}},
 ):
-    assert run_config(ExperimentConfig.from_dict(cfg), quiet=True) == 0
+    assert run_config(ExperimentConfig.from_dict(cfg)) == 0
 print("loaded:", sorted(m for m in {SOLVERS + ("scipy.special",)!r} if m in sys.modules))
 """
     proc = child(code, cwd=tmp_path)

@@ -13,7 +13,6 @@ from percolab import (
     deriv_raw,
     deriv_transformed,
     find_tc,
-    h_value,
     integrate,
     reconstruct_g,
     sbar_k,
@@ -82,8 +81,6 @@ def test_transformed_system_passes_through_singularity(traj):
 def test_sbar_refuses_the_critical_window(traj, constants):
     with pytest.raises(CriticalWindowError):
         sbar_k(traj, constants.tc)
-    with pytest.raises(CriticalWindowError):
-        h_value(traj, constants.tc)
 
 
 def test_xbar_monotone_decreasing(traj):
@@ -192,9 +189,3 @@ def test_g_reconstruction_from_quadrature(traj, constants):
     assert reconstruct_g(traj, 0.8) == pytest.approx(
         traj.transformed_state(0.8).g, abs=1e-8
     )
-
-
-def test_integrating_factor_positive_increasing(traj, constants):
-    vals = [percolab.integrating_factor_G(traj, t) for t in (0.3, 0.7, 1.1)]
-    assert vals[0] > 0.0
-    assert vals[0] < vals[1] < vals[2]

@@ -89,15 +89,14 @@ def test_engine_parity_from_the_initial_forest(kind):
 # ---------------------------------------------------------------------------
 # rule semantics on scripted rows, on both engines
 
-def play_rows(kind, rows, rounds, n=12, initial="4:2", loops=True, one_by_one=False):
+def play_rows(kind, rows, rounds, n=12, initial="4:2", one_by_one=False):
     """Play hand-made rows (they stand in for the drawn chunk) for `rounds`
     rounds on both engines, in one advance or one round per advance. Both
     must agree on the component sizes, isolated vertices, rounds attempted,
     first-edge rounds and rows consumed; that common result is returned."""
     out = []
     for engine in processes.ENGINES:
-        sim = Simulation(ProcessKind.from_token(kind), n, initial=initial, loops=loops,
-                         engine=engine)
+        sim = Simulation(ProcessKind.from_token(kind), n, initial=initial, engine=engine)
         sim._buf = np.array(rows, dtype=np.int64)
         for m in range(1, rounds + 1) if one_by_one else (rounds,):
             sim.advance_to(m)
@@ -136,11 +135,6 @@ def test_bf_step_chosen_loop_is_a_noop_round():
     # v1 == w1 isolated counts as both isolated; the chosen edge is a loop
     counts, n1, m, e1, pos = play_rows("bf", [(8, 8, 0, 1)], 1)
     assert (counts, n1, m, e1, pos) == ({1: 4, 4: 2}, 4, 1, 1, 1)
-
-
-def test_bf_step_loopless_mode_resamples_whole_round():
-    counts, n1, m, e1, pos = play_rows("bf", [(8, 8, 0, 1), (9, 10, 2, 3)], 1, loops=False)
-    assert (counts, n1, m, e1, pos) == ({1: 2, 2: 1, 4: 2}, 2, 1, 1, 2)
 
 
 def test_product_rule_prefers_larger_product_ties_first():
@@ -216,13 +210,12 @@ def test_poisson_edge_count_moments():
     assert np.var(draws) == pytest.approx(want, rel=0.15)
 
 
-def stream_trace(kind, n, initial="", loops=True, seed=0, engine="auto",
-                 schedule=(), extra=0):
+def stream_trace(kind, n, initial="", seed=0, engine="auto", schedule=(), extra=0):
     """Everything a Simulation exposes after a schedule of advances and
     snapshots, then an optional continuation: the snapshots, the
     first-edge count, both clocks and the generator state."""
     sim = Simulation(ProcessKind.from_token(kind), n, initial=initial, seed=seed,
-                     loops=loops, engine=engine)
+                     engine=engine)
     snaps = []
     for m in schedule:
         sim.advance_to(m)
@@ -235,19 +228,17 @@ def stream_trace(kind, n, initial="", loops=True, seed=0, engine="auto",
 
 
 @pytest.mark.parametrize("kind", [k.value for k in ALL_KINDS])
-@pytest.mark.parametrize("loops", [True, False])
-def test_engine_parity(kind, loops):
+def test_engine_parity(kind):
     """The batch and scalar engines must consume the identical stream and
     produce identical snapshots and first-edge counts, including with an
     initial graph."""
     initial = "3:5,2:10"
     kwargs = dict(n=3000, initial=initial, t_end=1.2, record_at=(0.6, 1.2),
-                  seed=11, loops=loops)
+                  seed=11)
     fast = run_process(kind, engine="auto", **kwargs)
     slow = run_process(kind, engine="python", **kwargs)
     assert fast == slow
-    sched = dict(kind=kind, n=3000, initial=initial, loops=loops, seed=11,
-                 schedule=(0, 900, 1800))
+    sched = dict(kind=kind, n=3000, initial=initial, seed=11, schedule=(0, 900, 1800))
     assert stream_trace(engine="auto", **sched) == stream_trace(engine="python", **sched)
 
 
@@ -294,12 +285,21 @@ def test_er_key_set_matches_the_scalar_seen_set(n, chunk):
 
 
 def test_engine_parity_across_a_chunk_boundary():
-    """Records on both sides of the end of the first chunk, with loop rows
-    skipped (so rounds and rows drift apart), then a continuation."""
+    """Records on both sides of the end of the first chunk, then a
+    continuation. er-wr skips loop rows without counting them, so its
+    attempts and rows drift apart; bf counts a row as a round, loop or not."""
     chunk = processes.CHUNK
-    sched = dict(kind="bf", n=1000, loops=False, seed=3,
-                 schedule=(chunk - 700, chunk + 500), extra=2000)
-    assert stream_trace(engine="auto", **sched) == stream_trace(engine="python", **sched)
+    for kind in ("bf", "er-wr"):
+        sched = dict(kind=kind, n=1000, seed=3, schedule=(chunk - 700, chunk + 500),
+                     extra=2000)
+        trace = stream_trace(engine="auto", **sched)
+        assert trace == stream_trace(engine="python", **sched)
+        if kind == "er-wr":
+            # main and continuation read one stream of pairs, so the rows read,
+            # chunk + pos, exceed the chunk + 2500 attempts by the loops skipped
+            _, _, m, extra, pos, _ = trace
+            assert (m, extra) == (chunk + 500, 2000)
+            assert pos > 2500
 
 
 def test_bf_batch_parity_when_blocks_are_cut_every_round():
@@ -322,38 +322,33 @@ def test_bf_batch_parity_when_blocks_are_cut_every_round():
     assert sims[0].blocks == len(rows)
 
 
-@pytest.mark.parametrize("loops", [True, False])
-def test_product_batch_parity_on_hand_made_rows(loops):
-    """Ties, a chosen loop, a chosen edge inside one component and, without
-    loops, skipped rows; the scalar engine fed the same rows must agree."""
+def test_product_batch_parity_on_hand_made_rows():
+    """Ties, a chosen loop and a chosen edge inside one component; the
+    scalar engine fed the same rows must agree."""
     rows = [
         (0, 1, 2, 3),  # tie 1*1 = 1*1: the first edge joins 0-1
-        (0, 0, 4, 5),  # 2*2 > 1*1: the first edge, a loop (skipped without loops)
+        (0, 0, 4, 5),  # 2*2 > 1*1: the first edge, a loop
         (4, 5, 1, 0),  # 1*1 < 2*2: the second edge, inside {0, 1}
-        (2, 3, 6, 6),  # tie: the first edge joins 2-3 (skipped without loops)
+        (2, 3, 6, 6),  # tie: the first edge joins 2-3
         (6, 7, 0, 2),  # the second edge joins {0, 1} and 2's component
         (8, 9, 8, 9),  # tie between equal edges: the first joins 8-9
     ]
-    rounds = 6 if loops else 4
     sims = []
     for engine in ("auto", "python"):
-        sim = Simulation(ProcessKind.PRODUCT_RULE, 10, loops=loops, engine=engine)
+        sim = Simulation(ProcessKind.PRODUCT_RULE, 10, engine=engine)
         sim._buf = np.array(rows, dtype=np.int64)  # stands in for the drawn chunk
-        sim.advance_to(rounds)
+        sim.advance_to(len(rows))
         sims.append((sim.snapshot(), sim.e1_rounds, sim._pos))
     assert sims[0] == sims[1]
     snap, e1, pos = sims[0]
     assert pos == len(rows)
-    if loops:
-        assert (e1, snap.dist.counts) == (4, {1: 4, 2: 1, 4: 1})
-    else:
-        assert (e1, snap.dist.counts) == (2, {1: 5, 2: 1, 3: 1})
+    assert (e1, snap.dist.counts) == (4, {1: 4, 2: 1, 4: 1})
 
 
 def test_product_engine_parity_with_chunk_of_one_row():
-    """Every round refills the buffer, loop rows are skipped across refills,
-    and a continuation feeds the union-find the rule reads."""
-    sched = dict(kind="product", n=300, initial="3:10,2:20", loops=False, seed=8,
+    """Every round refills the buffer, and a continuation feeds the
+    union-find the rule reads."""
+    sched = dict(kind="product", n=300, initial="3:10,2:20", seed=8,
                  schedule=(50, 200), extra=100)
     with mock.patch.object(processes, "CHUNK", 1):
         auto = stream_trace(engine="auto", **sched)
@@ -589,14 +584,14 @@ def parity_cases(draw):
     extra = draw(st.integers(0, n))
     chunk = draw(st.sampled_from([processes.CHUNK, 1, 7, 64]))
     block = draw(st.sampled_from([processes.PRODUCT_BLOCK, 1, 3, 64]))
-    return dict(kind=kind, n=n, initial=initial, loops=draw(st.booleans()),
-                seed=draw(st.integers(0, 2**32)), schedule=schedule, extra=extra), chunk, block
+    return dict(kind=kind, n=n, initial=initial, seed=draw(st.integers(0, 2**32)),
+                schedule=schedule, extra=extra), chunk, block
 
 
 @given(parity_cases())
 def test_engine_parity_property(case):
-    """Batch equals scalar for any n, rule, loop mode, initial graph, record
-    schedule, continuation, chunk length and product block length."""
+    """Batch equals scalar for any n, rule, initial graph, record schedule,
+    continuation, chunk length and product block length."""
     sched, chunk, block = case
     with mock.patch.object(processes, "CHUNK", chunk), \
             mock.patch.object(processes, "PRODUCT_BLOCK", block):
