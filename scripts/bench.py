@@ -7,9 +7,12 @@ advances a batch-engine Simulation with 1 and with 50 evenly spaced
 record points and reports:
 
 - init_s, the wall time of constructing the Simulation;
-- advance_s and snapshot_s, the wall time summed over all calls;
-- rss_advance_mb, ru_maxrss just before the last snapshot;
-- rss_snapshot_mb, ru_maxrss after it;
+- advance_s, fold_s and snapshot_s, the wall time summed over all calls:
+  before each snapshot an explicit fold merges the buffered edges into
+  the union-find forest (the component merge), so snapshot_s times the
+  histogram and its self-checks alone;
+- rss_advance_mb, ru_maxrss just before the last fold;
+- rss_snapshot_mb, ru_maxrss after the last fold and snapshot;
 - rss_import_mb, ru_maxrss after import, for reference.
 
 It also times find_tc, uncached, and solve_rho on half of the vertices
@@ -19,7 +22,7 @@ of 5 fresh interpreters, by wall time and the child's ru_maxrss:
 `simulate` (bf, n = 2e5 to t = 1), `fixed-point` (half_pairs.csv at
 t = 1) and `ode`.
 
-    python scripts/bench.py --label change [--src src] [--out BENCH_12.json]
+    python scripts/bench.py --label change --out BENCH_14.json [--src src]
 
 runs the percolab found under --src (default: this checkout's src) and
 stores the results under --label in --out, keeping the other labels
@@ -71,19 +74,24 @@ def one_case(kind: str, initial: str, n: int, points: int) -> dict:
                      initial=f"2:{n // 4}" if initial == "pairs" else "")
     init = time.perf_counter() - t0
     targets = [int(round(n * T_END * (i + 1) / points / 2)) for i in range(points)]
-    advance = snapshot = 0.0
+    advance = fold = snapshot = 0.0
     rss_advance = 0.0
     for m in targets:
         t0 = time.perf_counter()
         sim.advance_to(m)
         t1 = time.perf_counter()
         rss_advance = _rss_mb()
+        t2 = time.perf_counter()
+        sim._fold()
+        t3 = time.perf_counter()
         sim.snapshot()
-        snapshot += time.perf_counter() - t1
+        snapshot += time.perf_counter() - t3
+        fold += t3 - t2
         advance += t1 - t0
     return {"kind": kind, "initial": initial, "n": n, "points": points,
             "init_s": round(init, 4), "advance_s": round(advance, 4),
-            "snapshot_s": round(snapshot, 4), "rss_import_mb": round(rss_import, 1),
+            "fold_s": round(fold, 4), "snapshot_s": round(snapshot, 4),
+            "rss_import_mb": round(rss_import, 1),
             "rss_advance_mb": round(rss_advance, 1), "rss_snapshot_mb": round(_rss_mb(), 1)}
 
 
@@ -144,7 +152,7 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", help="key the results are stored under")
     ap.add_argument("--src", type=Path, default=ROOT / "src")
-    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_12.json")
+    ap.add_argument("--out", type=Path, help="BENCH_*.json file the results are merged into")
     ap.add_argument("--case", nargs=4, metavar=("KIND", "INITIAL", "N", "POINTS"),
                     help=argparse.SUPPRESS)
     ap.add_argument("--solvers", action="store_true", help=argparse.SUPPRESS)
@@ -156,8 +164,8 @@ def main() -> None:
     if args.solvers:
         print(json.dumps(dict(solvers(), machine=machine())))
         return
-    if not args.label:
-        ap.error("--label is required")
+    if not args.label or not args.out:
+        ap.error("--label and --out are required")
     src = args.src.resolve()
     cases = []
     for kind, initial in CASES:

@@ -27,6 +27,8 @@ is. A snapshot is the histogram of the sizes at the roots.
 
 One run attempts at most MAX_ATTEMPTS insertions; asking for more
 raises InvalidConfigError, since no run of that length could finish.
+An er simulation refuses n above ER_MAX_N (3,037,000,499), whose pair
+keys would overflow int64.
 
 Process time follows t = 2m/n where m counts attempted insertions: every
 two-choice round, a loop too, and every uniform proposal but a loop. At
@@ -58,6 +60,8 @@ __all__ = [
 CHUNK = 1 << 18  # proposal rows drawn per generator call
 PRODUCT_BLOCK: int | None = None  # rows per product block; None scales it with sqrt(n)
 MAX_ATTEMPTS = 1 << 32  # insertions one simulation may attempt, main and continuation each
+# er stores the keys u*n+v of its pairs and the sentinel n*n in int64
+ER_MAX_N = math.isqrt(np.iinfo(np.int64).max)
 ENGINES = ("auto", "python")
 
 
@@ -230,6 +234,11 @@ class Simulation:
                  seed: int = 0, engine: str = "auto"):
         if n < 2:
             raise InvalidConfigError("n must be >= 2")
+        if kind is ProcessKind.ER_WITHOUT_REPLACEMENT and n > ER_MAX_N:
+            raise InvalidConfigError(
+                f"er keeps its pair keys below n*n in int64, so n must be at most "
+                f"{ER_MAX_N}, got {n}"
+            )
         if engine not in ENGINES:
             raise InvalidConfigError(f"unknown engine {engine!r}")
         if seed < 0:
@@ -412,15 +421,25 @@ class Simulation:
                 self._fold()
 
     def _find(self, x: np.ndarray) -> np.ndarray:
-        """Roots of the vertices x, which are then pointed at them."""
+        """Roots of the vertices x, which are then pointed at them.
+
+        One gather reads the parents and one check finds the entries whose
+        parent is not a root. Only those climb, and after each level the set
+        shrinks to the entries still below a root. An entry at depth one or
+        less already points at its root, so only the deep ones are written
+        back.
+        """
         parent = self._parent
         roots = parent[x]
-        while True:
-            up = parent[roots]
-            if np.array_equal(up, roots):
-                break
-            roots = up
-        parent[x] = roots
+        up = parent[roots]
+        deep = np.flatnonzero(up != roots)
+        live, up = deep, up[deep]
+        while len(live):
+            roots[live] = up
+            above = parent[up]
+            still = np.flatnonzero(above != up)
+            live, up = live[still], above[still]
+        parent[x[deep]] = roots[deep]
         return roots
 
     def _fold(self) -> None:
@@ -435,7 +454,9 @@ class Simulation:
         their parents, which are hooked roots too or roots, points each
         straight at a root, whose size then takes in theirs; so the sizes
         are exact at the roots after every round, union by size keeps the
-        trees shallow, and one gather finds the next round's roots.
+        trees shallow, and one gather finds the next round's roots. The
+        lookups of the buffered ends and each jump read again only the
+        entries not yet at a root, so a level costs what is still moving.
         """
         if not self._pending:
             return
@@ -465,11 +486,17 @@ class Simulation:
             child = child[won]
             top = top[won]
             parent[child] = top
-            while True:
-                up = parent[top]
-                if np.array_equal(up, top):
-                    break
-                parent[child] = top = up
+            # pointer jumping: only a child whose parent was hooked in this
+            # round reads again, since the others already point at a root
+            up = parent[top]
+            live = np.flatnonzero(up != top)
+            up = up[live]
+            while len(live):
+                top[live] = up
+                parent[child[live]] = up
+                above = parent[up]
+                still = np.flatnonzero(above != up)
+                live, up = live[still], above[still]
             np.add.at(size, top, size[child])
             self._trees -= len(child)
             a, b = parent[a], parent[b]

@@ -548,6 +548,18 @@ def test_cli_out_of_memory_exits_2_without_a_traceback(tmp_path, args):
     assert not (tmp_path / "m.csv").exists()
 
 
+def test_cli_er_refuses_n_whose_pair_keys_overflow_int64():
+    """n = 3037000500 is one above isqrt(int64 max). The child's address
+    space is capped as above, so a run that tried to allocate would fail
+    with another message."""
+    proc = cli("simulate", "--process", "er", "--n", "3037000500", "--t", "0.5",
+               "--seed", "1", preexec_fn=_cap_address_space)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: er keeps its pair keys")
+    assert "at most 3037000499" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_output_under_a_regular_file_is_refused_before_the_run(tmp_path):
     (tmp_path / "afile").write_text("")
     cfg = ExperimentConfig(experiment="constants", n=100,

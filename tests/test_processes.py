@@ -2,6 +2,7 @@
 rows, limits."""
 
 import math
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -505,6 +506,55 @@ def test_product_snapshot_checks_its_union_find():
             sim.snapshot()
 
 
+def test_find_climbs_a_forest_four_levels_deep():
+    """Equal sizes hook the smaller root under the larger, so joining
+    roots only, in four stages folded apart, leaves 0 -> 1 -> 3 -> 7 -> 15.
+    A lookup returns every root, points each looked-up vertex at its root
+    and leaves every other pointer as it was."""
+    sim = Simulation(ProcessKind.ER_WITH_REPLACEMENT, 20)
+    for edges in ([(2 * i, 2 * i + 1) for i in range(9)],
+                  [(1, 3), (5, 7), (9, 11), (13, 15)],
+                  [(3, 7), (11, 15)],
+                  [(7, 15)]):
+        sim._insert(*np.array(edges, dtype=np.int64).T)
+        sim._fold()
+    before = sim._parent.copy()
+    assert before[[0, 1, 3, 7, 15]].tolist() == [1, 3, 7, 15, 15]
+    assert sim._size[15] == 16
+    x = np.array([0, 2, 0, 9, 15, 16, 18, 12, 0])
+    assert sim._find(x).tolist() == [15, 15, 15, 15, 15, 17, 18, 15, 15]
+    expect = before.copy()
+    expect[x] = [15, 15, 15, 15, 15, 17, 18, 15, 15]
+    assert sim._parent.tolist() == expect.tolist()
+    assert sim._find(np.array([1, 3, 4])).tolist() == [15, 15, 15]
+    assert sim.snapshot().dist.counts == {1: 2, 2: 1, 16: 1}
+
+
+@pytest.mark.parametrize("n, initial, rows", [
+    # every edge of the path hooks i under i+1 in the same round: 0 -> 1 ->
+    # ... -> 15 before the jumps, which then take four steps
+    (16, "", [(i, i + 1) for i in range(15)]),
+    (16, "", [(i + 1, i) for i in reversed(range(15))]),
+    # the stars rooted at 0, 3, 6 and 9 hook 0 -> 3 -> 6 -> 9 in one round,
+    # beside a chain of singletons
+    (30, "3:4", [(1, 4), (5, 7), (8, 10), (12, 13), (13, 14), (14, 15), (15, 16)]),
+])
+def test_fold_jumps_pointers_over_roots_hooked_in_the_same_round(n, initial, rows):
+    snaps = []
+    for engine in processes.ENGINES:
+        sim = Simulation(ProcessKind.ER_WITH_REPLACEMENT, n, initial=initial, engine=engine)
+        sim._buf = np.array(rows, dtype=np.int64)  # stands in for the drawn chunk
+        if engine == "auto":
+            before = sim._parent.copy()
+        sim.advance_to(len(rows))
+        snaps.append(sim.snapshot())
+        if engine == "auto":
+            # after the fold every pointer it moved points straight at a root
+            up = sim._parent[np.flatnonzero(sim._parent != before)]
+            assert len(up) and (sim._parent[up] == up).all()
+    assert snaps[0] == snaps[1]
+
+
 def test_batch_snapshot_checks_itself():
     """Each rule's snapshot checks the root count against the merges, the
     sizes at the roots against n and the singletons against the isolation
@@ -633,6 +683,22 @@ def test_attempts_beyond_the_limit_raise():
         for kind in ("bf", "er-poisson"):
             with pytest.raises(InvalidConfigError):
                 run_process(kind, 50, t_end=10.0, seed=0)
+
+
+def test_er_refuses_n_whose_keys_overflow_int64_before_allocating():
+    """er keeps the keys u*n+v and the sentinel n*n in int64; one n above
+    the bound is refused before any array of n entries is made (numpy
+    reports its buffers to tracemalloc)."""
+    assert processes.ER_MAX_N == 3_037_000_499
+    assert processes.ER_MAX_N ** 2 <= np.iinfo(np.int64).max < (processes.ER_MAX_N + 1) ** 2
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidConfigError, match="at most 3037000499"):
+            Simulation(ProcessKind.ER_WITHOUT_REPLACEMENT, processes.ER_MAX_N + 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_add_er_edges_does_not_touch_e1_count():
