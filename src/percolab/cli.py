@@ -9,6 +9,8 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import astuple, fields
+from pathlib import Path
 
 from .errors import InvalidConfigError, NumericalFailureError
 from .processes import ENGINES, ProcessKind
@@ -62,26 +64,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_ode(args) -> int:
+    from .harness import _fmt, _write_atomic
     from .ode import find_tc
 
     if not 0 < args.tol < math.inf:
         raise InvalidConfigError(f"--tol must be finite and > 0, got {args.tol}")
-    constants = find_tc(args.tol)
-    data = constants.as_dict()
+    data = find_tc(args.tol).as_dict()
     for key, value in data.items():
-        print(f"{key}={value:.10g}")
+        print(f"{key}={_fmt(value)}")
     if args.csv:
         try:
-            with open(args.csv, "w") as fh:
-                fh.write(",".join(data) + "\n")
-                fh.write(",".join(f"{v:.10g}" for v in data.values()) + "\n")
+            _write_atomic(Path(args.csv), ",".join(data) + "\n"
+                          + ",".join(map(_fmt, data.values())) + "\n")
         except OSError as exc:
             raise InvalidConfigError(f"cannot write {args.csv}: {exc}") from exc
     return 0
 
 
 def _cmd_simulate(args) -> int:
-    from .processes import run_process
+    from .harness import _fmt
+    from .processes import TraceRecord, run_process
 
     try:
         record = tuple(float(x) for x in args.record.split(",") if x.strip()) or (args.t,)
@@ -91,12 +93,9 @@ def _cmd_simulate(args) -> int:
         args.process, args.n, initial=args.initial, t_end=args.t,
         record_at=record, seed=args.seed, engine=args.engine,
     )
-    print("t,m,s2,s3,s4,c1_frac,c2_frac,x1")
+    print(",".join(f.name for f in fields(TraceRecord)))
     for r in records:
-        print(
-            f"{r.t:.10g},{r.m},{r.s2:.10g},{r.s3:.10g},{r.s4:.10g},"
-            f"{r.c1_frac:.10g},{r.c2_frac:.10g},{r.x1:.10g}"
-        )
+        print(",".join(map(_fmt, astuple(r))))
     return 0
 
 

@@ -36,7 +36,6 @@ from .processes import (
     InitialGraphSpec,
     ProcessKind,
     Simulation,
-    Snapshot,
     TraceRecord,
     poisson_edge_count,
     run_process,
@@ -174,8 +173,8 @@ class ExperimentConfig:
                 data = json.load(fh)
         except (OSError, UnicodeDecodeError) as exc:
             raise InvalidConfigError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise InvalidConfigError(f"config {path} is not valid JSON: {exc}") from exc
+        except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deeply
+            raise InvalidConfigError(f"cannot parse config {path} as JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise InvalidConfigError(f"config {path} must be a JSON object")
         return cls.from_dict(data)
@@ -253,16 +252,16 @@ def run_spec(spec: RunSpec) -> list[TraceRecord]:
     )
 
 
-def stop_restart(spec: RunSpec, continue_t: float) -> tuple[Snapshot, float]:
+def stop_restart(spec: RunSpec, continue_t: float) -> tuple[TraceRecord, float]:
     """Stop the run at spec.t_end, then add Poissonized uniform edges for a
     further continue_t, thinned by the share of non-isolated pairs; returns
-    the stopped snapshot and the final C1/n."""
+    the record of the stopped graph and the final C1/n."""
     sim = Simulation(spec.kind, spec.n, initial=spec.initial, seed=spec.seed)
     sim.advance_to(math.floor(spec.n * spec.t_end / 2))
-    snap = sim.snapshot()
-    extra = poisson_edge_count((1.0 - snap.x1 * snap.x1) * continue_t, spec.n, sim.rng)
+    stopped = sim.snapshot().trace(2 * sim.m / spec.n)
+    extra = poisson_edge_count((1.0 - stopped.x1 * stopped.x1) * continue_t, spec.n, sim.rng)
     sim.add_er_edges(extra)
-    return snap, sim.snapshot().c1 / spec.n
+    return stopped, sim.snapshot().dist.c1 / spec.n
 
 
 def seed_blocks(cfg: ExperimentConfig):
@@ -500,14 +499,14 @@ def exp_growth(cfg: ExperimentConfig) -> ExperimentOutcome:
     return ExperimentOutcome(rows, checks)
 
 
-def _stopped_observables(snap: Snapshot) -> dict[str, float]:
+def _stopped_observables(rec: TraceRecord) -> dict[str, float]:
     return {
-        "x1_stopped": snap.x1,
-        "s2_stopped": snap.s(2),
-        "s3_stopped": snap.s(3),
-        "s4_stopped": snap.s(4),
-        "s3_ratio": snap.s(3) / snap.s(2) ** 3,
-        "s4_ratio": snap.s(4) / snap.s(2) ** 5,
+        "x1_stopped": rec.x1,
+        "s2_stopped": rec.s2,
+        "s3_stopped": rec.s3,
+        "s4_stopped": rec.s4,
+        "s3_ratio": rec.s3 / rec.s2 ** 3,
+        "s4_ratio": rec.s4 / rec.s2 ** 5,
     }
 
 
@@ -545,7 +544,7 @@ def exp_two_phase(cfg: ExperimentConfig) -> ExperimentOutcome:
             "s3_ratio": beta,
             "s4_ratio": 3.0 * beta**2,
         }
-        observed = [_stopped_observables(snap) for snap, _ in stopped]
+        observed = [_stopped_observables(rec) for rec, _ in stopped]
         for obs, pred in preds.items():
             mean, _ = observe(rows, cfg, stop_seeds, [o[obs] for o in observed],
                               ("bf", t_stop, delta), obs, pred, SRC_ODE)

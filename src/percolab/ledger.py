@@ -78,18 +78,6 @@ class MomentLedger:
     c1_size: int
     n1_isolated: int
 
-    @property
-    def n(self) -> int:
-        return self.s_sums[0]
-
-    def s(self, k: int) -> float:
-        """Scaled moment s_k = S_k / n."""
-        return self.s_sums[k - 1] / self.s_sums[0]
-
-    @property
-    def x1(self) -> float:
-        return self.n1_isolated / self.s_sums[0]
-
 
 def ledger_init(n: int) -> tuple[DisjointSetForest, MomentLedger]:
     """Fresh forest of n singletons with matching ledger."""
@@ -194,6 +182,10 @@ class SizeDistribution:
         dist.validate()
         if not dist.counts:
             raise InvalidConfigError(f"{path}: empty distribution")
+        try:
+            dist.s(4)  # s2 and s3 are no larger
+        except OverflowError as exc:
+            raise InvalidConfigError(f"{path}: s4 = S4/S1 is not a finite float") from exc
         return dist
 
 

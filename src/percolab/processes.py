@@ -188,38 +188,15 @@ class TraceRecord:
 
 @dataclass(frozen=True)
 class Snapshot:
-    """Exact component statistics at one instant."""
+    """The exact component-size histogram after m attempted insertions."""
 
     m: int
     dist: SizeDistribution
-    s_sums: tuple[int, int, int, int]
-    c1: int
-    c2: int
-    n1: int
-
-    @property
-    def n(self) -> int:
-        return self.s_sums[0]
-
-    def s(self, k: int) -> float:
-        return self.s_sums[k - 1] / self.s_sums[0]
-
-    @property
-    def x1(self) -> float:
-        return self.n1 / self.s_sums[0]
 
     def trace(self, t: float) -> TraceRecord:
-        n = self.s_sums[0]
-        return TraceRecord(
-            t=t,
-            m=self.m,
-            s2=self.s_sums[1] / n,
-            s3=self.s_sums[2] / n,
-            s4=self.s_sums[3] / n,
-            c1_frac=self.c1 / n,
-            c2_frac=self.c2 / n,
-            x1=self.n1 / n,
-        )
+        d, n = self.dist, self.dist.n_vertices
+        return TraceRecord(t=t, m=self.m, s2=d.s(2), s3=d.s(3), s4=d.s(4), c1_frac=d.c1 / n,
+                           c2_frac=d.c2 / n, x1=d.n1 / n)
 
 
 class Simulation:
@@ -667,21 +644,17 @@ class Simulation:
             hist = dict(zip(small.tolist(), counts[small].tolist()))
             hist[top] = hist.get(top, 0) + 1
             dist = SizeDistribution(hist)
-            sums = tuple(dist.power_sum(k) for k in (1, 2, 3, 4))
-            c1, c2, n1 = dist.c1, dist.c2, dist.n1
-            if sums[0] != self.n:
+            if dist.n_vertices != self.n:
                 raise AssertionError("component sizes do not sum to n")
-            if n1 != int(np.count_nonzero(self._iso)):
+            if dist.n1 != int(np.count_nonzero(self._iso)):
                 raise AssertionError("singletons and isolation bitmap disagree")
         else:
             dist = snapshot_distribution(self.forest)
-            sums = tuple(dist.power_sum(k) for k in (1, 2, 3, 4))
-            if list(sums) != self.ledger.s_sums:
+            if [dist.power_sum(k) for k in (1, 2, 3, 4)] != self.ledger.s_sums:
                 raise AssertionError("ledger and histogram moments disagree")
-            c1, c2, n1 = dist.c1, dist.c2, dist.n1
-            if (c1, n1) != (self.ledger.c1_size, self.ledger.n1_isolated):
+            if (dist.c1, dist.n1) != (self.ledger.c1_size, self.ledger.n1_isolated):
                 raise AssertionError("ledger extremes and histogram disagree")
-        return Snapshot(m=self.m, dist=dist, s_sums=sums, c1=c1, c2=c2, n1=n1)
+        return Snapshot(m=self.m, dist=dist)
 
 
 def _check_attempts(m: int) -> None:

@@ -393,11 +393,14 @@ def test_cli_usage_errors_exit_2():
     ("fixed-point", "--dist", "{tmp}/dist.csv", "--t", "1", "--csv", "{tmp}/binary/x.csv"),
     ("experiment", "--config", "{tmp}/binary"),
     ("experiment", "--config", "{tmp}/constants.json", "--out", "{tmp}/dist.csv/x.csv"),
+    ("experiment", "--config", "{tmp}/nested.json"),
 ])
 def test_cli_bad_inputs_exit_2_without_a_traceback(tmp_path, args):
     """Unparsable record lists, tolerances that are not finite and positive,
-    and files that cannot be read or written are usage errors."""
+    and files that cannot be read or written (or parsed, like a config nested
+    too deeply for the JSON reader) are usage errors."""
     (tmp_path / "dist.csv").write_text("size,count\n1,500\n2,250\n")
+    (tmp_path / "nested.json").write_text("[" * 100000 + "]" * 100000)
     (tmp_path / "constants.json").write_text('{"experiment": "constants", "n": 100}')
     (tmp_path / "binary").write_bytes(b"\xff\xfe\x00size,count\n")
     proc = cli(*(a.replace("{tmp}", str(tmp_path)) for a in args))
@@ -597,6 +600,54 @@ def test_cli_simulate_prints_trace_csv():
     lines = proc.stdout.strip().splitlines()
     assert lines[0] == "t,m,s2,s3,s4,c1_frac,c2_frac,x1"
     assert len(lines) == 3
+    assert lines[1] == "0.5,1250,1.6916,4.0048,13.7252,0.0018,0.0016,0.5602"
+    assert lines[2] == "1,2500,5.9408,120.6484,3960.6008,0.0098,0.0084,0.3034"
+
+
+ODE_CSV_AT_TOL_1E_6 = (
+    "tc,x_tc,alpha,beta,gamma,g2,g3,g4,"
+    "tc_err,x_tc_err,alpha_err,beta_err,gamma_err,g2_err,g3_err,g4_err\n"
+    "1.176314791,0.2438454069,1.06321966,0.7642353548,2.461386827,1.06321966,"
+    "0.9185358706,2.380622303,1e-06,7.681339009e-09,4.234746775e-09,1.0599992e-09,"
+    "6.389614171e-09,4.234746775e-09,9.701421444e-09,4.080557758e-08\n"
+)
+
+
+def test_cli_ode_writes_the_constants_csv(tmp_path):
+    path = tmp_path / "ode.csv"
+    proc = cli("ode", "--tol", "1e-6", "--csv", str(path))
+    assert proc.returncode == 0, proc.stderr
+    assert path.read_text() == ODE_CSV_AT_TOL_1E_6
+    # stdout prints the same cells, one key=value line each
+    names, values = ODE_CSV_AT_TOL_1E_6.splitlines()
+    assert proc.stdout.splitlines() == [f"{k}={v}" for k, v in
+                                        zip(names.split(","), values.split(","))]
+
+
+def test_cli_ode_failed_csv_write_keeps_the_old_file(tmp_path, capsys):
+    from percolab import cli as percolab_cli
+
+    path = tmp_path / "ode.csv"
+    path.write_bytes(b"old,constants\n1,2\n")
+    with mock.patch.object(os, "replace", side_effect=OSError("disk full")):
+        code = percolab_cli.main(["ode", "--tol", "1e-6", "--csv", str(path)])
+    assert code == 2
+    assert "error: cannot write" in capsys.readouterr().err
+    assert path.read_bytes() == b"old,constants\n1,2\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["ode.csv"]
+
+
+@pytest.mark.parametrize("exponent, code", [(102, 0), (103, 2), (200, 2)])
+def test_cli_fixed_point_refuses_a_size_whose_s4_overflows_a_float(tmp_path, exponent, code):
+    """One component of size 10**exponent beside five singletons: s4 is about
+    10**(3*exponent), past the largest float from 10**103 on."""
+    p = tmp_path / "dist.csv"
+    p.write_text(f"size,count\n1,5\n{10 ** exponent},1\n")
+    proc = cli("fixed-point", "--dist", str(p), "--t", "1")
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if code:
+        assert proc.stderr == f"error: {p}: s4 = S4/S1 is not a finite float\n"
 
 
 def test_cli_fixed_point_reports_bounds(tmp_path):

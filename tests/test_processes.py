@@ -102,7 +102,7 @@ def play_rows(kind, rows, rounds, n=12, initial="4:2", one_by_one=False):
         for m in range(1, rounds + 1) if one_by_one else (rounds,):
             sim.advance_to(m)
         snap = sim.snapshot()
-        out.append((snap.dist.counts, snap.n1, sim.m, sim.e1_rounds, sim._pos))
+        out.append((snap.dist.counts, snap.dist.n1, sim.m, sim.e1_rounds, sim._pos))
     assert out[0] == out[1]
     return out[0]
 
