@@ -16,13 +16,14 @@ record points and reports:
 - rss_import_mb, ru_maxrss after import, for reference.
 
 It also times find_tc, uncached, and solve_rho on half of the vertices
-in pairs (median of 5 calls each), and four cold starts, each the median
+in pairs (median of 5 calls each), and five cold starts, each the median
 of 5 fresh interpreters, by wall time and the child's ru_maxrss:
-`import percolab, percolab.cli`, and `python -m percolab` running
-`simulate` (bf, n = 2e5 to t = 1), `fixed-point` (half_pairs.csv at
-t = 1) and `ode`.
+`import percolab, percolab.cli`; `python -m percolab` running `simulate`
+(bf, n = 2e5 to t = 1), `fixed-point` (half_pairs.csv at t = 1) and
+`ode`; and importing percolab.harness to validate a `moments` config, the
+set-up that precedes any experiment run.
 
-    python scripts/bench.py --label change --out BENCH_14.json [--src src]
+    python scripts/bench.py --label change --out BENCH_16.json [--src src]
 
 runs the percolab found under --src (default: this checkout's src) and
 stores the results under --label in --out, keeping the other labels
@@ -56,6 +57,9 @@ COLD_STARTS = (
     ("fixed-point", ("-m", "percolab", "fixed-point",
                      "--dist", str(ROOT / "scripts" / "data" / "half_pairs.csv"), "--t", "1")),
     ("ode", ("-m", "percolab", "ode")),
+    ("validate-moments", ("-c", "from percolab.harness import ExperimentConfig; "
+                          "ExperimentConfig.from_dict({'experiment': 'moments', 'n': 1000, "
+                          "'t_grid': [0.5]})")),
 )
 COLD_REPEATS = 5
 

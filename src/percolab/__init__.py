@@ -44,7 +44,6 @@ from .ode import (
     deriv_transformed,
     find_tc,
     integrate,
-    reconstruct_g,
     sbar_k,
 )
 from .processes import (

@@ -8,9 +8,7 @@ block's values into one row per replicate and a mean row with its
 standard error, next to the ODE, fixed-point or closed-form prediction.
 Reruns with the same config write a byte-identical CSV; timestamps live
 in a separate .meta.json sidecar. Both files are replaced atomically.
-EXPERIMENTS states, once per experiment, what it asks of its config and
-whether it integrates the limit system, whose scipy solvers validate()
-then loads, so their import is paid before the run and not inside it.
+EXPERIMENTS states, once per experiment, what it asks of its config.
 """
 from __future__ import annotations
 
@@ -31,7 +29,7 @@ import scipy  # the top-level package only, for the version the sidecar records
 
 from .errors import InvalidConfigError
 from .giant import bf_growth_prediction, solve_rho, supercritical_bounds
-from .ode import critical_trajectory, find_tc, load_solvers, sbar_k
+from .ode import critical_trajectory, find_tc, sbar_k
 from .processes import (
     InitialGraphSpec,
     ProcessKind,
@@ -220,8 +218,6 @@ class ExperimentConfig:
             raise InvalidConfigError(
                 f"{self.experiment} starts from the empty graph; initial is not used"
             )
-        if contract.limit_system:
-            load_solvers()
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -606,24 +602,20 @@ class Experiment:
     """What an experiment asks of its config: the function that runs it,
     the grid it needs ("t_grid", "delta_grid", or "" for none), whether
     it reads `initial` (the others start from the empty graph, and moments
-    and growth predict from the limit equations of the empty graph), and
-    whether it integrates the limit system, which needs scipy's solvers."""
+    and growth predict from the limit equations of the empty graph)."""
 
     run: Callable[[ExperimentConfig], ExperimentOutcome]
     grid: str
     reads_initial: bool
-    limit_system: bool
 
 
 EXPERIMENTS = {
-    "moments": Experiment(exp_moments, "t_grid", reads_initial=False, limit_system=True),
-    "constants": Experiment(exp_constants, "", reads_initial=False, limit_system=True),
-    "giant": Experiment(exp_giant, "t_grid", reads_initial=True, limit_system=False),
-    "growth": Experiment(exp_growth, "delta_grid", reads_initial=False, limit_system=True),
-    "two_phase": Experiment(exp_two_phase, "delta_grid", reads_initial=False,
-                            limit_system=True),
-    "variant_agreement": Experiment(exp_variant_agreement, "t_grid", reads_initial=True,
-                                    limit_system=False),
+    "moments": Experiment(exp_moments, "t_grid", reads_initial=False),
+    "constants": Experiment(exp_constants, "", reads_initial=False),
+    "giant": Experiment(exp_giant, "t_grid", reads_initial=True),
+    "growth": Experiment(exp_growth, "delta_grid", reads_initial=False),
+    "two_phase": Experiment(exp_two_phase, "delta_grid", reads_initial=False),
+    "variant_agreement": Experiment(exp_variant_agreement, "t_grid", reads_initial=True),
 }
 
 

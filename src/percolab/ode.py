@@ -11,21 +11,20 @@ which stays regular through the singularity; t_c is the first zero of
 f. The growth constants follow algebraically from xbar(t_c) and
 g(t_c).
 
-scipy's integrator, root finder and quadrature are imported by the
-functions that call them, since loading them costs more than the rest of
-the package together; code that never integrates the system does not
-load them, and load_solvers() imports them up front, for callers that
-would rather pay that before a run.
+Both systems are integrated by DOP853 with dense output, and t_c is
+found by Brent's method, from the numpy-only ports in dop853.py: they
+compute what scipy's solve_ivp and brentq compute, bit for bit, without
+loading scipy's solvers.
 """
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import BlowUpError, BracketError, CriticalWindowError, NumericalFailureError
+from . import dop853
+from .errors import BlowUpError, BracketError, CriticalWindowError
 
 __all__ = [
     "OdeState",
@@ -36,21 +35,13 @@ __all__ = [
     "deriv_transformed",
     "integrate",
     "find_tc",
-    "load_solvers",
     "sbar_k",
-    "reconstruct_g",
 ]
 
 RAW_S2_CAP = 1.0e6  # the raw system is never integrated past this
 F_FLOOR = 1.0e-6  # moments are not reported closer to critical than this
 T_SPAN_MAX = 1.4  # comfortably past the critical time
 DEFAULT_ODE_TOL = 1.0e-10
-
-
-def load_solvers() -> None:
-    """Import the scipy modules that integrate the limit system and locate t_c."""
-    import scipy.integrate  # noqa: F401
-    import scipy.optimize  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -138,36 +129,25 @@ def integrate(system: str = "transformed", t_end: float = T_SPAN_MAX,
 
     xbar0=0 freezes the two-choice branch and reduces the raw system to
     the pure uniform-edge limit. Integrating the raw system into the
-    blow-up raises BlowUpError.
+    blow-up raises BlowUpError at the first step that ends past the cap.
     """
-    from scipy.integrate import solve_ivp
-
     if system == "raw":
         y0 = [xbar0, 1.0, 1.0, 1.0]
         deriv = deriv_raw
 
-        def cap(t, y):
-            return y[1] - RAW_S2_CAP
-
-        cap.terminal = True
-        events = [cap]
+        def after_step(t, y):
+            if y[1] >= RAW_S2_CAP:
+                raise BlowUpError(
+                    f"second moment exceeded {RAW_S2_CAP:g} by t={t:.6f} < {t_end}"
+                )
     elif system == "transformed":
         y0 = [xbar0, 1.0, 1.0, -2.0]
         deriv = deriv_transformed
-        events = None
+        after_step = None
     else:
         raise ValueError(f"unknown system {system!r}")
-    sol = solve_ivp(
-        deriv, (0.0, t_end), y0, method="DOP853", rtol=tol, atol=tol,
-        dense_output=True, events=events,
-    )
-    if not sol.success:
-        raise NumericalFailureError(f"integration failed: {sol.message}")
-    if system == "raw" and sol.t[-1] < t_end:
-        raise BlowUpError(
-            f"second moment exceeded {RAW_S2_CAP:g} at t={sol.t[-1]:.6f} < {t_end}"
-        )
-    return Trajectory(system=system, t_end=t_end, tol=tol, _sol=sol.sol)
+    sol = dop853.solve(deriv, y0, t_end, tol, after_step)
+    return Trajectory(system=system, t_end=t_end, tol=tol, _sol=sol)
 
 
 @dataclass(frozen=True)
@@ -202,13 +182,11 @@ class CriticalConstants:
 
 
 def _locate_tc(traj: Trajectory, xtol: float) -> float:
-    from scipy.optimize import brentq
-
     ts = np.linspace(0.9, traj.t_end, 101)
     fs = [traj.f(t) for t in ts]
     for i in range(len(ts) - 1):
         if fs[i] > 0.0 >= fs[i + 1]:
-            return float(brentq(traj.f, ts[i], ts[i + 1], xtol=xtol, rtol=8.9e-16))
+            return dop853.brentq(traj.f, ts[i], ts[i + 1], xtol, 8.9e-16)
     raise BracketError("f never crossed zero; integration span too short?")
 
 
@@ -276,18 +254,3 @@ def sbar_k(traj: Trajectory, t: float) -> tuple[float, float, float]:
     s4 = (st.h1 + 3.0 * st.g * st.g / st.f) * s2**4
     return s2, s3, s4
 
-
-def reconstruct_g(traj: Trajectory, t: float, npts: int = 2001) -> float:
-    """g(t) rebuilt from the integrating factor, independent of the g ODE.
-
-    g(t) = exp(-G(t)) * (1 + 3 * integral of exp(G) xbar^2 f^3), where the
-    integrating factor G(t) is 3 * integral of xbar^2 f on [0, t].
-    """
-    from scipy.integrate import cumulative_simpson
-
-    ts = np.linspace(0.0, t, npts)
-    states = traj._sol(ts)
-    x2, f = states[0] ** 2, states[1]
-    G = 3.0 * cumulative_simpson(x2 * f, x=ts, initial=0.0)
-    inner = cumulative_simpson(np.exp(G) * x2 * f**3, x=ts, initial=0.0)
-    return float(math.exp(-G[-1]) * (1.0 + 3.0 * inner[-1]))

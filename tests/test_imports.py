@@ -1,10 +1,10 @@
-"""Which paths load scipy's solvers.
+"""No path loads scipy's solvers.
 
-Only the limit system needs scipy.integrate and scipy.optimize: the `ode`
-subcommand and the experiments that EXPERIMENTS marks limit_system, whose
-validation loads them. Everything else runs on numpy alone. Each test
-runs in a fresh interpreter, since a module once imported stays in
-sys.modules.
+The limit system is integrated by the package's own DOP853 and Brent
+(percolab.dop853), so the `ode` subcommand and every experiment run on
+numpy alone; the package imports only scipy's top-level module, for the
+version the sidecar records. Each test runs in a fresh interpreter, since
+a module once imported stays in sys.modules.
 """
 import subprocess
 import sys
@@ -15,10 +15,11 @@ import pytest
 from conftest import child_env
 
 HALF_PAIRS = str(Path(__file__).resolve().parents[1] / "scripts" / "data" / "half_pairs.csv")
-SOLVERS = ("scipy.integrate", "scipy.optimize")
+SOLVERS = ("scipy.integrate", "scipy.optimize", "scipy.special")
 SIMULATE = ("simulate", "--process", "bf", "--n", "2000", "--t", "1.2", "--seed", "1",
             "--record", "0.5,1.2")
 FIXED_POINT = ("fixed-point", "--dist", HALF_PAIRS, "--t", "1")
+ODE = ("ode",)
 
 
 def child(code: str, *args: str, cwd=None) -> subprocess.CompletedProcess:
@@ -41,7 +42,7 @@ for cfg in (
       "t_grid": [0.5], "out": "variants.csv"}},
 ):
     assert run_config(ExperimentConfig.from_dict(cfg)) == 0
-print("loaded:", sorted(m for m in {SOLVERS + ("scipy.special",)!r} if m in sys.modules))
+print("loaded:", sorted(m for m in {SOLVERS!r} if m in sys.modules))
 """
     proc = child(code, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
@@ -49,24 +50,36 @@ print("loaded:", sorted(m for m in {SOLVERS + ("scipy.special",)!r} if m in sys.
     assert (tmp_path / "giant.csv").exists() and (tmp_path / "variants.csv").exists()
 
 
-@pytest.mark.parametrize("cfg", [
-    {"experiment": "constants", "n": 100},
-    {"experiment": "moments", "n": 1000, "t_grid": [0.5]},
-    {"experiment": "growth", "n": 1000, "delta_grid": [0.1]},
-    {"experiment": "two_phase", "n": 1000, "delta_grid": [0.1]},
-], ids=lambda cfg: cfg["experiment"])
-def test_validating_a_limit_system_experiment_loads_the_solvers(cfg):
+LIMIT_SYSTEM_CONFIGS = [
+    {"experiment": "constants", "n": 100, "out": "constants.csv"},
+    {"experiment": "moments", "n": 1000, "replicates": 2, "t_grid": [0.5],
+     "out": "moments.csv"},
+    {"experiment": "two_phase", "n": 1000, "replicates": 2, "delta_grid": [0.1],
+     "out": "two_phase.csv"},
+    {"experiment": "growth", "n": 1000, "replicates": 2, "delta_grid": [0.1],
+     "out": "growth.csv"},
+]
+
+
+def test_the_limit_system_never_loads_the_solvers(tmp_path):
+    """`ode`, find_tc and the experiments that integrate the limit system."""
     code = f"""
 import sys
-from percolab.harness import ExperimentConfig
+import percolab.cli
+from percolab.harness import ExperimentConfig, run_config
+from percolab.ode import find_tc
 
-before = [m for m in {SOLVERS!r} if m in sys.modules]
-ExperimentConfig.from_dict({cfg!r})
-print(before, [m for m in {SOLVERS!r} if m in sys.modules])
+assert percolab.cli.main({list(ODE)!r}) == 0
+find_tc(1e-6)
+for cfg in {LIMIT_SYSTEM_CONFIGS!r}:
+    assert run_config(ExperimentConfig.from_dict(cfg)) == 0
+print("loaded:", sorted(m for m in {SOLVERS!r} if m in sys.modules))
 """
-    proc = child(code)
+    proc = child(code, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == f"[] {list(SOLVERS)}"
+    assert proc.stdout.splitlines()[-1] == "loaded: []"
+    for cfg in LIMIT_SYSTEM_CONFIGS:
+        assert (tmp_path / cfg["out"]).exists()
 
 
 BLOCKED_MAIN = f"""
@@ -77,8 +90,10 @@ sys.exit(main())
 """
 
 
-@pytest.mark.parametrize("args", [SIMULATE, FIXED_POINT], ids=lambda a: a[0])
+@pytest.mark.parametrize("args", [SIMULATE, FIXED_POINT, ODE], ids=lambda a: a[0])
 def test_numpy_only_subcommands_run_without_the_solvers(args):
+    """With scipy's solvers blocked (an import of one raises), each subcommand,
+    `ode` too, exits 0 and prints what an unblocked run prints."""
     blocked = child(BLOCKED_MAIN, *args)
     plain = subprocess.run([sys.executable, "-m", "percolab", *args], capture_output=True,
                            text=True, timeout=120, env=child_env())
@@ -88,8 +103,9 @@ def test_numpy_only_subcommands_run_without_the_solvers(args):
     assert blocked.stdout
 
 
-def test_blocking_the_solvers_stops_the_limit_system():
-    """The block above is real: `ode` cannot run behind it."""
-    proc = child(BLOCKED_MAIN, "ode")
+def test_the_block_is_real():
+    """Importing a blocked module fails, so the test above can fail."""
+    proc = child(f"import sys\nsys.modules.update(dict.fromkeys({SOLVERS!r}))\n"
+                 "import scipy.integrate")
     assert proc.returncode != 0
     assert "ModuleNotFoundError" in proc.stderr

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_simpson
 
 import percolab
 from percolab import (
@@ -14,9 +15,22 @@ from percolab import (
     deriv_transformed,
     find_tc,
     integrate,
-    reconstruct_g,
     sbar_k,
 )
+
+
+def reconstruct_g(traj, t: float, npts: int = 2001) -> float:
+    """g(t) rebuilt from the integrating factor, independent of the g ODE.
+
+    g(t) = exp(-G(t)) * (1 + 3 * integral of exp(G) xbar^2 f^3), where the
+    integrating factor G(t) is 3 * integral of xbar^2 f on [0, t].
+    """
+    ts = np.linspace(0.0, t, npts)
+    states = np.array([traj.state(s) for s in ts]).T
+    x2, f = states[0] ** 2, states[1]
+    G = 3.0 * cumulative_simpson(x2 * f, x=ts, initial=0.0)
+    inner = cumulative_simpson(np.exp(G) * x2 * f**3, x=ts, initial=0.0)
+    return float(math.exp(-G[-1]) * (1.0 + 3.0 * inner[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -66,9 +80,12 @@ def test_raw_and_transformed_systems_agree(traj, raw_traj):
         assert traj.xbar(t) == pytest.approx(raw_traj.xbar(t), rel=1e-10)
 
 
-def test_raw_system_blows_up_before_window_end():
-    with pytest.raises(BlowUpError):
+def test_raw_system_blows_up_before_window_end(constants):
+    with pytest.raises(BlowUpError, match=r"exceeded 1e\+06 by t=") as info:
         integrate("raw", t_end=1.4, tol=1e-10)
+    # the message names the end of the first step past the cap, just before tc
+    t = float(str(info.value).split("by t=")[1].split()[0])
+    assert constants.tc - 1e-5 < t < constants.tc
 
 
 def test_transformed_system_passes_through_singularity(traj):
