@@ -61,25 +61,39 @@ LIMIT_SYSTEM_CONFIGS = [
 ]
 
 
-def test_the_limit_system_never_loads_the_solvers(tmp_path):
-    """`ode`, find_tc and the experiments that integrate the limit system."""
+def test_the_limit_system_never_loads_the_solvers():
+    """`ode` and find_tc integrate the limit system on numpy alone."""
     code = f"""
 import sys
 import percolab.cli
-from percolab.harness import ExperimentConfig, run_config
 from percolab.ode import find_tc
 
 assert percolab.cli.main({list(ODE)!r}) == 0
 find_tc(1e-6)
-for cfg in {LIMIT_SYSTEM_CONFIGS!r}:
-    assert run_config(ExperimentConfig.from_dict(cfg)) == 0
 print("loaded:", sorted(m for m in {SOLVERS!r} if m in sys.modules))
+"""
+    proc = child(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "loaded: []"
+
+
+@pytest.mark.parametrize("cfg", LIMIT_SYSTEM_CONFIGS, ids=lambda cfg: cfg["experiment"])
+def test_a_limit_system_experiment_never_loads_the_solvers(cfg, tmp_path):
+    """Neither validating nor running an experiment that integrates the limit
+    system loads a solver."""
+    code = f"""
+import sys
+from percolab.harness import ExperimentConfig, run_config
+
+config = ExperimentConfig.from_dict({cfg!r})
+validated = sorted(m for m in {SOLVERS!r} if m in sys.modules)
+assert run_config(config) == 0
+print("loaded:", validated, sorted(m for m in {SOLVERS!r} if m in sys.modules))
 """
     proc = child(code, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "loaded: []"
-    for cfg in LIMIT_SYSTEM_CONFIGS:
-        assert (tmp_path / cfg["out"]).exists()
+    assert proc.stdout.splitlines()[-1] == "loaded: [] []"
+    assert (tmp_path / cfg["out"]).exists()
 
 
 BLOCKED_MAIN = f"""
