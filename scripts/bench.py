@@ -13,17 +13,21 @@ record points and reports:
   histogram and its self-checks alone;
 - rss_advance_mb, ru_maxrss just before the last fold;
 - rss_snapshot_mb, ru_maxrss after the last fold and snapshot;
-- rss_import_mb, ru_maxrss after import, for reference.
+- rss_import_mb, ru_maxrss after import, for reference;
+- minflt_import, minflt_advance and minflt_snapshot, ru_minflt (the minor
+  page faults, mostly fresh pages handed to numpy temporaries) at the
+  same three points.
 
 It also times find_tc, uncached, and solve_rho on half of the vertices
 in pairs (median of 5 calls each), and five cold starts, each the median
-of 5 fresh interpreters, by wall time and the child's ru_maxrss:
+of 5 fresh interpreters, by wall time and the child's ru_maxrss and
+ru_minflt:
 `import percolab, percolab.cli`; `python -m percolab` running `simulate`
 (bf, n = 2e5 to t = 1), `fixed-point` (half_pairs.csv at t = 1) and
 `ode`; and importing percolab.harness to validate a `moments` config, the
 set-up that precedes any experiment run.
 
-    python scripts/bench.py --label change --out BENCH_16.json [--src src]
+    python scripts/bench.py --label change --out BENCH_17.json [--src src]
 
 runs the percolab found under --src (default: this checkout's src) and
 stores the results under --label in --out, keeping the other labels
@@ -68,23 +72,27 @@ def _rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
 
 
+def _minflt() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def one_case(kind: str, initial: str, n: int, points: int) -> dict:
     """Advance one simulation to T_END with `points` record instants."""
     from percolab.processes import ProcessKind, Simulation
 
-    rss_import = _rss_mb()
+    rss_import, minflt_import = _rss_mb(), _minflt()
     t0 = time.perf_counter()
     sim = Simulation(ProcessKind.from_token(kind), n, seed=SEED,
                      initial=f"2:{n // 4}" if initial == "pairs" else "")
     init = time.perf_counter() - t0
     targets = [int(round(n * T_END * (i + 1) / points / 2)) for i in range(points)]
     advance = fold = snapshot = 0.0
-    rss_advance = 0.0
+    rss_advance, minflt_advance = 0.0, 0
     for m in targets:
         t0 = time.perf_counter()
         sim.advance_to(m)
         t1 = time.perf_counter()
-        rss_advance = _rss_mb()
+        rss_advance, minflt_advance = _rss_mb(), _minflt()
         t2 = time.perf_counter()
         sim._fold()
         t3 = time.perf_counter()
@@ -96,7 +104,9 @@ def one_case(kind: str, initial: str, n: int, points: int) -> dict:
             "init_s": round(init, 4), "advance_s": round(advance, 4),
             "fold_s": round(fold, 4), "snapshot_s": round(snapshot, 4),
             "rss_import_mb": round(rss_import, 1),
-            "rss_advance_mb": round(rss_advance, 1), "rss_snapshot_mb": round(_rss_mb(), 1)}
+            "rss_advance_mb": round(rss_advance, 1), "rss_snapshot_mb": round(_rss_mb(), 1),
+            "minflt_import": minflt_import, "minflt_advance": minflt_advance,
+            "minflt_snapshot": _minflt()}
 
 
 def solvers() -> dict:
@@ -129,10 +139,11 @@ def machine() -> dict:
 
 
 def cold_start(src: Path, args: tuple[str, ...]) -> dict:
-    """Median wall time and peak RSS of fresh interpreters running args."""
+    """Median wall time, peak RSS and minor faults of fresh interpreters
+    running args."""
     env = dict(os.environ, PYTHONPATH=str(src))
     quiet = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
-    walls, rss = [], []
+    walls, rss, minflt = [], [], []
     for _ in range(COLD_REPEATS):
         t0 = time.perf_counter()
         pid = os.posix_spawn(sys.executable, [sys.executable, *args], env, file_actions=quiet)
@@ -141,8 +152,10 @@ def cold_start(src: Path, args: tuple[str, ...]) -> dict:
         if os.waitstatus_to_exitcode(status) != 0:
             raise SystemExit(f"cold start {' '.join(args)} failed")
         rss.append(usage.ru_maxrss / 1024)  # KiB on Linux
+        minflt.append(usage.ru_minflt)
     return {"wall_s": round(statistics.median(walls), 4),
-            "maxrss_mb": round(statistics.median(rss), 1)}
+            "maxrss_mb": round(statistics.median(rss), 1),
+            "minflt": statistics.median(minflt)}
 
 
 def run_child(src: Path, *args: str) -> dict:

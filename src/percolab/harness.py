@@ -257,7 +257,9 @@ def stop_restart(spec: RunSpec, continue_t: float) -> tuple[TraceRecord, float]:
     stopped = sim.snapshot().trace(2 * sim.m / spec.n)
     extra = poisson_edge_count((1.0 - stopped.x1 * stopped.x1) * continue_t, spec.n, sim.rng)
     sim.add_er_edges(extra)
-    return stopped, sim.snapshot().dist.c1 / spec.n
+    final = sim.snapshot()
+    sim.check_forest()
+    return stopped, final.dist.c1 / spec.n
 
 
 def seed_blocks(cfg: ExperimentConfig):

@@ -8,22 +8,26 @@ exactly across engines for a given seed.
 engine='python' is the scalar reference: it walks the rows one by one
 through a union-find forest with an exact moment ledger. engine='auto'
 decides whole slices of rows with numpy on one int64 union-find forest
-for every rule, whose roots hold the component sizes. An initial graph
-is written into the forest directly, each component a star on its first
+for every rule, whose roots hold the component sizes and whose other
+vertices hold size 0. The rows are drawn as int32 when every vertex fits,
+which numpy draws from the same stream as int64. An initial graph is
+written into the forest directly, each component a star on its first
 vertex, since only its vertex sets matter. The uniform rules and bf
-buffer the edges they insert and fold them into the forest in rounds of
-vectorized hooking and pointer jumping, once per snapshot or per CHUNK
-edges. er keeps the sorted keys of the pairs present; each slice of
-proposals is sorted once, its distinct keys are looked up in that array
-in sorted order, and the new ones are merged in. The two-choice rules
-decide speculative blocks of about sqrt(n) rows on the state at block
-start: bf on the isolation bitmap, and the product rule on exact
-component sizes. For the product rule each block takes as its giant the
-largest component it reads; one vectorized pass applies every round of
-the block whose other components no earlier pending round reads and
-whose choice cannot change as that giant grows, merging straight into
-the forest through one hook, and repeats on the rounds left until none
-is. A snapshot is the histogram of the sizes at the roots.
+buffer the edges they insert and fold them into the forest once per
+snapshot or per CHUNK edges, at most FOLD edges at a time, in rounds of
+vectorized hooking and pointer jumping. er keeps the sorted keys of the
+pairs present; each slice of proposals is sorted once, its distinct keys
+are looked up in that array in sorted order, and the new ones are merged
+in. The two-choice rules decide speculative blocks of about sqrt(n) rows
+on the state at block start: bf on the isolation bitmap, and the product
+rule on exact component sizes. For the product rule each block takes as
+its giant the largest component it reads; one vectorized pass applies
+every round of the block whose other components no earlier pending round
+reads and whose choice cannot change as that giant grows, merging
+straight into the forest through one hook, and repeats on the rounds
+left until none is. A snapshot is one bincount of the sizes, checked against the merge
+count, n and the isolation bitmap; check_forest recounts the roots from
+the parents, which run_process does after its last snapshot.
 
 One run attempts at most MAX_ATTEMPTS insertions; asking for more
 raises InvalidConfigError, since no run of that length could finish.
@@ -58,6 +62,7 @@ __all__ = [
 ]
 
 CHUNK = 1 << 18  # proposal rows drawn per generator call
+FOLD = 1 << 15  # buffered edges merged into the forest at a time
 PRODUCT_BLOCK: int | None = None  # rows per product block; None scales it with sqrt(n)
 MAX_ATTEMPTS = 1 << 32  # insertions one simulation may attempt, main and continuation each
 # er stores the keys u*n+v of its pairs and the sentinel n*n in int64
@@ -260,9 +265,10 @@ class Simulation:
     def _init_batch(self) -> None:
         n = self.n
         # union-find forest: each vertex points towards the root of its
-        # component, and `_size` holds the component size at each root
+        # component, and `_size` holds the component size at each root and
+        # 0 elsewhere, so the sizes alone give the histogram
         self._parent = np.arange(n, dtype=np.int64)
-        self._size = np.ones(n, dtype=np.int64)  # valid at roots only
+        self._size = np.ones(n, dtype=np.int64)
         self._iso = np.ones(n, dtype=bool)
         self._trees = n  # n minus the merges made, for the snapshot self-check
         self._pending: list[tuple[np.ndarray, np.ndarray]] = []  # edges not yet in the forest
@@ -274,6 +280,7 @@ class Simulation:
             starts = np.cumsum(sizes) - sizes
             k = self.initial.total_vertices
             self._parent[:k] = np.repeat(starts, sizes)
+            self._size[:k] = 0
             self._size[starts] = sizes
             self._iso[:k] = np.repeat(sizes == 1, sizes)
             self._trees -= k - len(sizes)
@@ -298,7 +305,7 @@ class Simulation:
     def _refill(self, cols: int) -> None:
         if self._buf is None or self._pos >= len(self._buf) or self._buf.shape[1] != cols:
             # switching proposal shape discards any buffered rows
-            self._buf = self.rng.integers(0, self.n, size=(CHUNK, cols), dtype=np.int64)
+            self._buf = _draw(self.rng, self.n, cols)
             self._pos = 0
 
     # -- main process ----------------------------------------------------
@@ -387,8 +394,8 @@ class Simulation:
 
     def _insert(self, u: np.ndarray, v: np.ndarray) -> None:
         """Mark the ends of loop-free edges as joined and buffer the edges
-        for the forest. A full buffer of CHUNK edges is folded at once, so
-        it never holds more than one chunk's worth."""
+        for the forest. A buffer of CHUNK edges is folded, so it never holds
+        more than one chunk's worth."""
         if len(u):
             self._iso[u] = False
             self._iso[v] = False
@@ -420,8 +427,27 @@ class Simulation:
         return roots
 
     def _fold(self) -> None:
-        """Merge the buffered edges into the forest in rounds of vectorized
-        hooking and pointer jumping (Shiloach and Vishkin).
+        """Merge the buffered edges into the forest, at most FOLD at a time,
+        so the temporaries of a merge stay small whatever was buffered.
+        Each merge gathers views of the buffered arrays, never a copy of the
+        whole buffer."""
+        pending, self._pending, self._npending = self._pending, [], 0
+        group: list[tuple[np.ndarray, np.ndarray]] = []
+        count = 0
+        for u, v in pending:
+            for lo in range(0, len(u), FOLD):
+                part = (u[lo:lo + FOLD], v[lo:lo + FOLD])
+                if count + len(part[0]) > FOLD:
+                    self._merge(group)
+                    group, count = [], 0
+                group.append(part)
+                count += len(part[0])
+        if group:
+            self._merge(group)
+
+    def _merge(self, edges: list[tuple[np.ndarray, np.ndarray]]) -> None:
+        """Merge edges into the forest in rounds of vectorized hooking and
+        pointer jumping (Shiloach and Vishkin).
 
         In a round every edge whose ends have different roots hooks the
         smaller root, by size and then by index, under the other, so the
@@ -429,18 +455,16 @@ class Simulation:
         several parents takes one: each edge writes its own mark into it,
         and the edge whose mark stayed wins. Jumping the hooked roots over
         their parents, which are hooked roots too or roots, points each
-        straight at a root, whose size then takes in theirs; so the sizes
-        are exact at the roots after every round, union by size keeps the
-        trees shallow, and one gather finds the next round's roots. The
-        lookups of the buffered ends and each jump read again only the
-        entries not yet at a root, so a level costs what is still moving.
+        straight at a root, whose size then takes in theirs and drops to 0;
+        so the sizes are exact at the roots and 0 elsewhere after every
+        round, union by size keeps the trees shallow, and one gather finds
+        the next round's roots. The lookups of the ends and each jump read
+        again only the entries not yet at a root, so a level costs what is
+        still moving.
         """
-        if not self._pending:
-            return
         parent, size = self._parent, self._size
-        a = self._find(np.concatenate([p[0] for p in self._pending]))
-        b = self._find(np.concatenate([p[1] for p in self._pending]))
-        self._pending, self._npending = [], 0
+        a = self._find(np.concatenate([e[0] for e in edges]))
+        b = self._find(np.concatenate([e[1] for e in edges]))
         while True:
             live = a != b
             if not live.all():
@@ -448,18 +472,13 @@ class Simulation:
                 if not len(live):
                     break
                 a, b = a[live], b[live]
-            # the first round of a large fold sets the run's peak memory, so
-            # each temporary is dropped as soon as it is used
             sa, sb = size[a], size[b]
             # a - b where a hooks under b, else 0 (cheaper than np.where)
             shift = (a - b) * ((sa < sb) | ((sa == sb) & (a < b)))
-            del sa, sb
             child, top = b + shift, a - shift
-            del shift
             mark = np.arange(-1, -1 - len(child), -1)
             parent[child] = mark
             won = np.flatnonzero(parent[child] == mark)
-            del mark
             child = child[won]
             top = top[won]
             parent[child] = top
@@ -475,6 +494,7 @@ class Simulation:
                 still = np.flatnonzero(above != up)
                 live, up = live[still], above[still]
             np.add.at(size, top, size[child])
+            size[child] = 0
             self._trees -= len(child)
             a, b = parent[a], parent[b]
 
@@ -499,7 +519,7 @@ class Simulation:
         new ones are merged in at the positions the lookup found.
         """
         n = self.n
-        keys = np.minimum(u, v) * n + np.maximum(u, v)
+        keys = np.minimum(u, v).astype(np.int64) * n + np.maximum(u, v)
         order = np.argsort(keys)
         keys = keys[order]
         starts = np.flatnonzero(keys[1:] != keys[:-1]) + 1
@@ -522,7 +542,8 @@ class Simulation:
         earlier round of the same block. The block is cut before the
         first such round; every round before it is exact.
         """
-        rows = self._buf[self._pos:self._pos + min(need, self._block)]
+        block = self._buf[self._pos:self._pos + min(need, self._block)]
+        rows = block.astype(np.int64)  # one widening instead of one per index
         v1, w1 = rows[:, 0], rows[:, 1]
         first = self._iso[v1] & self._iso[w1]
         a = np.where(first, v1, rows[:, 2])
@@ -541,7 +562,8 @@ class Simulation:
                 cut = int(asked[np.argmax(stale)])
         self.e1_rounds += int(np.count_nonzero(first[:cut]))
         keep = real[:cut]
-        self._insert(a[:cut][keep], b[:cut][keep])
+        # buffered at the rows' width, so int32 rows keep the buffer half as large
+        self._insert(a[:cut][keep].astype(block.dtype), b[:cut][keep].astype(block.dtype))
         self.blocks += 1
         self._pos += cut
         return cut
@@ -569,7 +591,7 @@ class Simulation:
         once by one hook, whose children no other round of the pass reads.
         """
         self._fold()  # initial and continuation edges change the sizes read
-        rows = self._buf[self._pos:self._pos + min(need, self._block)]
+        rows = self._buf[self._pos:self._pos + min(need, self._block)].astype(np.int64)
         self._pos += len(rows)
         count = len(rows)
         parent, size = self._parent, self._size
@@ -611,6 +633,7 @@ class Simulation:
             grow[left[join]] = np.where(top == big, size[child], 0)
             parent[child] = top
             np.add.at(size, top, size[child])
+            size[child] = 0
             self._iso[np.where(first, quads[:, 0], quads[:, 2])[join]] = False
             self._iso[np.where(first, quads[:, 1], quads[:, 3])[join]] = False
             self._trees -= len(child)
@@ -624,26 +647,23 @@ class Simulation:
     def snapshot(self) -> Snapshot:
         if self._batch:
             self._fold()
-            # the roots are found one block of vertices at a time, since an
-            # arange of all n would be the largest temporary of the run
-            is_root = np.empty(self.n, dtype=bool)
-            for lo in range(0, self.n, CHUNK):
-                hi = min(lo + CHUNK, self.n)
-                np.equal(self._parent[lo:hi], np.arange(lo, hi), out=is_root[lo:hi])
-            if np.count_nonzero(is_root) != self._trees:
-                raise AssertionError("union-find roots and merge count disagree")
-            sizes = np.compress(is_root, self._size)
-            # the largest size is counted apart, so the bincount runs only to
-            # the second largest; added last, it keeps the sizes in order
-            at = int(np.argmax(sizes))
-            top = int(sizes[at])
-            sizes[at] = 1
-            counts = np.bincount(sizes)
-            counts[1] -= 1
+            # sizes are 0 off the roots, so their bincount past 0 is the
+            # histogram; the largest size is counted apart, so the bincount
+            # runs only to the second largest, and added last it keeps the
+            # sizes in order
+            size = self._size
+            at = int(np.argmax(size))
+            top = int(size[at])
+            size[at] = 0
+            counts = np.bincount(size)
+            size[at] = top
+            counts[0] = 0
             small = np.flatnonzero(counts)
             hist = dict(zip(small.tolist(), counts[small].tolist()))
             hist[top] = hist.get(top, 0) + 1
             dist = SizeDistribution(hist)
+            if dist.n_components != self._trees:
+                raise AssertionError("nonzero sizes and merge count disagree")
             if dist.n_vertices != self.n:
                 raise AssertionError("component sizes do not sum to n")
             if dist.n1 != int(np.count_nonzero(self._iso)):
@@ -655,6 +675,31 @@ class Simulation:
             if (dist.c1, dist.n1) != (self.ledger.c1_size, self.ledger.n1_isolated):
                 raise AssertionError("ledger extremes and histogram disagree")
         return Snapshot(m=self.m, dist=dist)
+
+    def check_forest(self) -> None:
+        """Recount the batch engine's roots from the parents, one CHUNK of
+        vertices at a time, and check that they are the vertices of nonzero
+        size and as many as the merges leave. The scalar engine's snapshot
+        already recounts its forest, so this checks nothing more there."""
+        if not self._batch:
+            return
+        self._fold()
+        roots = 0
+        for lo in range(0, self.n, CHUNK):
+            hi = min(lo + CHUNK, self.n)
+            is_root = self._parent[lo:hi] == np.arange(lo, hi)
+            if not np.array_equal(is_root, self._size[lo:hi] != 0):
+                raise AssertionError("union-find roots and nonzero sizes disagree")
+            roots += int(np.count_nonzero(is_root))
+        if roots != self._trees:
+            raise AssertionError("union-find roots and merge count disagree")
+
+
+def _draw(rng: np.random.Generator, n: int, cols: int) -> np.ndarray:
+    """CHUNK rows of cols uniform vertices below n: int32 when they fit,
+    which numpy draws from the same stream as int64, else int64."""
+    dtype = np.int32 if n <= 1 << 31 else np.int64
+    return rng.integers(0, n, size=(CHUNK, cols), dtype=dtype)
 
 
 def _check_attempts(m: int) -> None:
@@ -674,7 +719,8 @@ def run_process(kind: ProcessKind | str, n: int, initial: InitialGraphSpec | str
     """Run one process to t_end, recording observables on a schedule.
 
     Deterministic given (seed, kind, n, initial, schedule). record_at
-    must be sorted and bounded by t_end.
+    must be sorted and bounded by t_end. The forest is recounted after the
+    last snapshot.
     """
     if isinstance(kind, str):
         kind = ProcessKind.from_token(kind)
@@ -696,6 +742,8 @@ def run_process(kind: ProcessKind | str, n: int, initial: InitialGraphSpec | str
                 prev_t = t
             sim.advance_to(m_cum)
             records.append(sim.snapshot().trace(t))
+        if records:
+            sim.check_forest()
         if t_end > prev_t:
             m_cum += poisson_edge_count(t_end - prev_t, n, sim.rng)
             sim.advance_to(m_cum)
@@ -706,5 +754,7 @@ def run_process(kind: ProcessKind | str, n: int, initial: InitialGraphSpec | str
             m_i = _snap_index(n, t, m_end)
             sim.advance_to(m_i)
             records.append(sim.snapshot().trace(2 * m_i / n))
+        if records:
+            sim.check_forest()
         sim.advance_to(m_end)
     return records

@@ -33,6 +33,21 @@ def child_env():
     return env
 
 
+@pytest.fixture(autouse=True)
+def recount_every_snapshot(monkeypatch):
+    """Follow every snapshot with the full recount of the forest that a run
+    makes only after its last snapshot, so each test checks the union-find
+    wherever it observes it."""
+    snapshot = percolab.Simulation.snapshot
+
+    def checked(self):
+        snap = snapshot(self)
+        self.check_forest()
+        return snap
+
+    monkeypatch.setattr(percolab.Simulation, "snapshot", checked)
+
+
 @pytest.fixture(scope="session")
 def constants():
     """Critical constants at the default tolerance."""

@@ -21,9 +21,12 @@ from percolab import (
     run_process,
 )
 from percolab import processes
-from percolab.harness import ExperimentConfig, ResultRow, run_experiment
+from percolab.harness import ExperimentConfig, ResultRow, RunSpec, run_experiment, stop_restart
 
 ALL_KINDS = list(ProcessKind)
+# the snapshot with its own checks only, without the recount of the forest
+# that tests/conftest.py adds after every snapshot
+SNAPSHOT = Simulation.snapshot
 
 
 # ---------------------------------------------------------------------------
@@ -556,9 +559,11 @@ def test_fold_jumps_pointers_over_roots_hooked_in_the_same_round(n, initial, row
 
 
 def test_batch_snapshot_checks_itself():
-    """Each rule's snapshot checks the root count against the merges, the
-    sizes at the roots against n and the singletons against the isolation
-    bitmap, so corrupting any of them raises."""
+    """Each rule's snapshot checks the count of nonzero sizes against the
+    merges, their sum against n and the singletons against the isolation
+    bitmap, so corrupting any of them raises. A vertex taken off its tree
+    becomes a root of size 0, which those checks cannot see; the recount of
+    the forest after a run's last snapshot finds it."""
     def roots_largest_first(sim):
         roots = np.flatnonzero(sim._parent == np.arange(sim.n))
         return roots[np.argsort(-sim._size[roots], kind="stable")]
@@ -572,19 +577,87 @@ def test_batch_snapshot_checks_itself():
     def shrink_a_small_root(sim):
         sim._size[roots_largest_first(sim)[-1]] -= 1
 
+    def size_a_hooked_child(sim):
+        sim._size[np.flatnonzero(sim._parent != np.arange(sim.n))[0]] = 1
+
+    def zero_the_giant(sim):
+        sim._size[roots_largest_first(sim)[0]] = 0
+
     def reroot_a_vertex(sim):
         child = np.flatnonzero(sim._parent != np.arange(sim.n))[0]
         sim._parent[child] = child
 
     for kind in ALL_KINDS:
-        for corrupt in (forget_a_join, grow_the_giant, shrink_a_small_root, reroot_a_vertex):
+        for corrupt in (forget_a_join, grow_the_giant, shrink_a_small_root,
+                        size_a_hooked_child, zero_the_giant):
             sim = Simulation(kind, 100, initial="3:2", seed=1)
             sim.advance_to(45)
-            sim.snapshot()
+            SNAPSHOT(sim)
             sim.advance_to(50)  # bf and the uniform rules leave edges to fold
             corrupt(sim)
             with pytest.raises(AssertionError):
-                sim.snapshot()
+                SNAPSHOT(sim)
+        sim = Simulation(kind, 100, initial="3:2", seed=1)
+        sim.advance_to(50)
+        SNAPSHOT(sim)
+        reroot_a_vertex(sim)
+        SNAPSHOT(sim)
+        with pytest.raises(AssertionError, match="roots and nonzero sizes disagree"):
+            sim.check_forest()
+
+
+def test_runs_recount_the_forest_after_their_last_snapshot(monkeypatch):
+    """run_process recounts the forest once, right after its last snapshot
+    and before it runs on to t_end; stop_restart recounts it after the
+    snapshot that follows its continuation."""
+    monkeypatch.setattr(Simulation, "snapshot", SNAPSHOT)
+    seen = []
+    with mock.patch.object(Simulation, "check_forest", autospec=True, side_effect=lambda sim:
+                           seen.append((sim.m, sim.extra_attempts, sim._npending))):
+        for kind in ("bf", "er-poisson"):
+            records = run_process(kind, 1000, t_end=1.2, record_at=(0.5, 1.0), seed=2)
+            assert seen == [(records[-1].m, 0, 0)]
+            seen.clear()
+        run_process("bf", 1000, t_end=1.2, seed=2)
+        assert seen == []
+        stop_restart(RunSpec(ProcessKind.BOUNDED_SIZE, 1000, seed=2, t_end=0.8), continue_t=0.3)
+        [(m, extra, pending)] = seen
+        assert (m, pending) == (400, 0) and extra > 0
+
+
+@pytest.mark.parametrize("n", [2, 100, 200_000, 2**31 - 1, 2**31, 2**31 + 1])
+def test_proposal_rows_are_drawn_narrow_from_the_int64_stream(n):
+    """The engine draws its rows as int32 whenever every vertex fits. They
+    must be the rows, and leave the generator in the state, of the int64
+    draw the golden results were made with."""
+    for cols in (2, 4):
+        narrow, wide = np.random.default_rng(n), np.random.default_rng(n)
+        rows = processes._draw(narrow, n, cols)
+        assert rows.dtype == (np.int32 if n <= 2**31 else np.int64)
+        want = wide.integers(0, n, size=(processes.CHUNK, cols), dtype=np.int64)
+        assert np.array_equal(rows, want)
+        assert narrow.bit_generator.state == wide.bit_generator.state
+
+
+@pytest.mark.parametrize("fold", [1, 3, 64])
+@pytest.mark.parametrize("kind", [k.value for k in ALL_KINDS])
+def test_engine_parity_with_short_folds(kind, fold):
+    """Buffered edges merged into the forest a few at a time, from an
+    initial graph, across records and a continuation (which the product
+    rule folds before its next block)."""
+    sched = dict(kind=kind, n=2000, initial="3:5,2:10", seed=17, schedule=(300, 900, 1400),
+                 extra=400)
+    runs = []
+    with mock.patch.object(processes, "FOLD", fold):
+        assert stream_trace(engine="auto", **sched) == stream_trace(engine="python", **sched)
+        for engine in processes.ENGINES:
+            sim = Simulation(ProcessKind.from_token(kind), 2000, initial="3:5,2:10", seed=17,
+                             engine=engine)
+            sim.advance_to(900)
+            sim.add_er_edges(400)
+            sim.advance_to(1400)  # rule rounds after the continuation
+            runs.append((sim.snapshot(), sim.e1_rounds, sim.rng.bit_generator.state))
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("kind", [k.value for k in ALL_KINDS])
