@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import simpson
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from percolab import (
     InitialGraphSpec,
@@ -22,6 +24,8 @@ from percolab import (
 )
 from percolab import processes
 from percolab.harness import ExperimentConfig, ResultRow, RunSpec, run_experiment, stop_restart
+from percolab.ledger import SizeDistribution
+from percolab.processes import Snapshot
 
 ALL_KINDS = list(ProcessKind)
 # the snapshot with its own checks only, without the recount of the forest
@@ -658,6 +662,90 @@ def test_engine_parity_with_short_folds(kind, fold):
             sim.advance_to(1400)  # rule rounds after the continuation
             runs.append((sim.snapshot(), sim.e1_rounds, sim.rng.bit_generator.state))
     assert runs[0] == runs[1]
+
+
+class WholeChunkReplay:
+    """The proposal stream replayed apart from the engine, as the golden
+    results were made: whole CHUNK draws of int64 rows, a new chunk when one
+    is spent or the row shape changes, and a Poisson count drawn on the
+    generator between chunk draws. Rules are played row by row and the
+    components counted by scipy."""
+
+    def __init__(self, n, seed):
+        self.n = n
+        self.rng = np.random.default_rng(seed)
+        self.rows, self.pos, self.cols = [], 0, 0
+        self.iso = bytearray([1]) * n
+        self.edges = []
+
+    def row(self, cols):
+        if self.pos == len(self.rows) or cols != self.cols:
+            chunk = self.rng.integers(0, self.n, size=(processes.CHUNK, cols), dtype=np.int64)
+            self.rows, self.pos, self.cols = chunk.tolist(), 0, cols
+        self.pos += 1
+        return self.rows[self.pos - 1]
+
+    def join(self, u, v):
+        if u != v:
+            self.iso[u] = self.iso[v] = 0
+            self.edges.append((u, v))
+
+    def uniform(self, count):
+        """count with-replacement edges; a loop row is skipped uncounted."""
+        while count:
+            u, v = self.row(2)
+            if u != v:
+                self.join(u, v)
+                count -= 1
+
+    def bf(self, rounds):
+        for _ in range(rounds):
+            v1, w1, v2, w2 = self.row(4)
+            if self.iso[v1] and self.iso[w1]:
+                self.join(v1, w1)
+            else:
+                self.join(v2, w2)
+
+    def snapshot(self, m):
+        u, v = np.array(self.edges, dtype=np.int64).reshape(-1, 2).T
+        graph = coo_matrix((np.ones(len(u)), (u, v)), shape=(self.n, self.n))
+        _, labels = connected_components(graph, directed=False)
+        return Snapshot(m, SizeDistribution.from_sizes(np.bincount(labels).tolist()))
+
+
+def test_mid_chunk_poisson_counts_keep_the_whole_chunk_stream():
+    """At n = 2e5 each record's Poisson count is drawn tens of thousands of
+    rows into a chunk: the generator must have drawn the whole chunk before
+    it, and the proposals after it must read on in that chunk."""
+    n, grid = 200_000, (0.1, 0.5, 1.0, 1.3)
+    replay, want, m, prev_t = WholeChunkReplay(n, 5), [], 0, 0.0
+    for t in grid:
+        count = poisson_edge_count(t - prev_t, n, replay.rng)
+        replay.uniform(count)
+        m += count
+        want.append(replay.snapshot(m).trace(t))
+        prev_t = t
+    assert run_process("er-poisson", n, t_end=1.3, record_at=grid, seed=5) == want
+
+
+@pytest.mark.parametrize("kind, t_end, continue_t", [("bf", 0.8, 0.3), ("er-wr", 0.5, 0.6)])
+def test_stop_restart_keeps_the_whole_chunk_stream(kind, t_end, continue_t):
+    """The continuation's Poisson count is drawn tens of thousands of rows
+    into a chunk. bf then switches to pairs, which drops the rest of its
+    chunk; er-wr keeps its shape, so its continuation reads on in the same
+    chunk, for more than 2^15 rows."""
+    n = 200_000
+    replay = WholeChunkReplay(n, 3)
+    main = math.floor(n * t_end / 2)
+    if kind == "bf":
+        replay.bf(main)
+    else:
+        replay.uniform(main)
+    stopped = replay.snapshot(main).trace(2 * main / n)
+    replay.uniform(poisson_edge_count((1.0 - stopped.x1 * stopped.x1) * continue_t, n, replay.rng))
+    want = (stopped, replay.snapshot(main).dist.c1 / n)
+    spec = RunSpec(ProcessKind.from_token(kind), n, seed=3, t_end=t_end)
+    assert stop_restart(spec, continue_t) == want
 
 
 @pytest.mark.parametrize("kind", [k.value for k in ALL_KINDS])
