@@ -69,8 +69,9 @@ GROWTH_LEVEL_DELTA = 0.1
 # the linear law is only established near the transition
 SLOPE_MAX_DELTA = 0.15
 # a block holds each replicate's seed, spec, result and rows at once, 2.5 kB
-# per grid point, and a run draws a CHUNK of proposals, so 1e5 replicates take
-# minutes and hundreds of MB; their standard error is 0.3% of one run's spread
+# per grid point, and a run draws at least a PIECE of proposals (er a whole
+# CHUNK), so 1e5 replicates take minutes and hundreds of MB; their standard
+# error is 0.3% of one run's spread
 MAX_REPLICATES = 100_000
 
 

@@ -1,9 +1,17 @@
 """Evolving random-graph processes over the component ledger.
 
 A Simulation owns one seeded generator and one process rule. Randomness
-is drawn in fixed-size chunks of uniform vertex proposals at the Python
-level, and both engines consume the identical stream, so traces match
-exactly across engines for a given seed.
+comes in fixed-size chunks of CHUNK uniform vertex proposals, and both
+engines consume the identical stream, so traces match exactly across
+engines for a given seed. A chunk is drawn PIECE rows at a time, as the
+rows are needed (er draws it whole, since its key merge copies every key
+once per slice); consecutive draws give the values, and leave the
+generator in the state, of one draw of the whole chunk. The generator
+reaches a chunk's end when the chunk is spent, when the rows change shape
+(a two-choice rule's quadruples against the pairs of a continuation),
+which drops the rest of the chunk, and when `Simulation.rng` is read for
+another draw (a Poisson count): that draws the rest of the chunk first
+and queues it for the proposals that follow.
 
 engine='python' is the scalar reference: it walks the rows one by one
 through a union-find forest with an exact moment ledger. engine='auto'
@@ -42,6 +50,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,7 +70,8 @@ __all__ = [
     "poisson_edge_count",
 ]
 
-CHUNK = 1 << 18  # proposal rows drawn per generator call
+CHUNK = 1 << 18  # proposal rows of one chunk of the stream
+PIECE = 1 << 15  # proposal rows drawn per generator call, a chunk's pieces in turn
 FOLD = 1 << 15  # buffered edges merged into the forest at a time
 PRODUCT_BLOCK: int | None = None  # rows per product block; None scales it with sqrt(n)
 MAX_ATTEMPTS = 1 << 32  # insertions one simulation may attempt, main and continuation each
@@ -233,13 +243,16 @@ class Simulation:
         self.n = n
         self.seed = seed
         self.engine = engine
-        self.rng = np.random.default_rng(seed)
+        self._rng = np.random.default_rng(seed)
         self.m = 0  # attempted insertions of the main process
         self.extra_attempts = 0  # continuation edges added on top
         self.e1_rounds = 0  # rounds in which the first offered edge was chosen
         self.blocks = 0  # speculative bf and product blocks decided by the batch engine
-        self._buf: np.ndarray | None = None
+        self._buf = np.empty((0, 0), dtype=np.int64)  # the rows being consumed
         self._pos = 0
+        self._cols = 0  # columns of the current chunk's rows
+        self._undrawn = 0  # rows of the current chunk not drawn yet
+        self._ahead: deque[np.ndarray] = deque()  # pieces drawn ahead by `rng`
         # without replacement the main process can insert each free pair once
         self._free_pairs = None
         if kind is ProcessKind.ER_WITHOUT_REPLACEMENT:
@@ -298,15 +311,47 @@ class Simulation:
                 self._block = max(2, int(0.7 * math.sqrt(n)))
             else:
                 self._block = PRODUCT_BLOCK or max(2, int(3 * math.sqrt(n)))
-            self._stamp = np.full(n, self._block, dtype=np.int64)
+            # round numbers within a block fit int32; np.minimum.at will not
+            # write int64 values into it, so the rounds written are int32 too
+            self._stamp = np.full(n, self._block, dtype=np.int32)
 
     # -- proposal stream -------------------------------------------------
 
+    @property
+    def rng(self) -> np.random.Generator:
+        """The generator, with the current chunk drawn to its end, so that a
+        draw on it (a Poisson count) comes where it came when a chunk was
+        drawn whole. The rest of the chunk is queued for the proposals that
+        follow."""
+        while self._undrawn:
+            self._ahead.append(self._piece())
+        return self._rng
+
+    def _piece(self) -> np.ndarray:
+        """Draw the next piece of the current chunk. er draws the rest of the
+        chunk at once, since its key merge copies every key once per slice."""
+        rows = self._undrawn
+        if self.kind is not ProcessKind.ER_WITHOUT_REPLACEMENT:
+            rows = min(rows, PIECE)
+        self._undrawn -= rows
+        return _draw(self._rng, self.n, rows, self._cols)
+
     def _refill(self, cols: int) -> None:
-        if self._buf is None or self._pos >= len(self._buf) or self._buf.shape[1] != cols:
-            # switching proposal shape discards any buffered rows
-            self._buf = _draw(self.rng, self.n, cols)
-            self._pos = 0
+        if self._pos < len(self._buf) and self._buf.shape[1] == cols:
+            return
+        if cols != self._cols:
+            # switching proposal shape drops the rest of the chunk, drawn or not
+            self._ahead.clear()
+            while self._undrawn:
+                self._piece()
+            self._cols = cols
+        if self._ahead:
+            self._buf = self._ahead.popleft()
+        else:
+            if not self._undrawn:
+                self._undrawn = CHUNK
+            self._buf = self._piece()
+        self._pos = 0
 
     # -- main process ----------------------------------------------------
 
@@ -555,7 +600,8 @@ class Simulation:
             when = np.flatnonzero(real)
             ends = np.concatenate((a[when], b[when]))
             stamp = self._stamp  # earliest round of the block joining each vertex
-            np.minimum.at(stamp, ends, np.concatenate((when, when)))
+            rounds = when.astype(np.int32)
+            np.minimum.at(stamp, ends, np.concatenate((rounds, rounds)))
             stale = (stamp[v1[asked]] < asked) | (stamp[w1[asked]] < asked)
             stamp[ends] = self._block
             if stale.any():
@@ -605,7 +651,7 @@ class Simulation:
             if big < 0:
                 big = roots[np.argmax(size[roots])]
                 g0 = size[big]
-            turn = np.repeat(np.arange(len(left)), 4)
+            turn = np.repeat(np.arange(len(left), dtype=np.int32), 4)
             np.minimum.at(stamp, roots, turn)
             fresh = stamp[roots] == turn
             stamp[roots] = self._block
@@ -695,11 +741,12 @@ class Simulation:
             raise AssertionError("union-find roots and merge count disagree")
 
 
-def _draw(rng: np.random.Generator, n: int, cols: int) -> np.ndarray:
-    """CHUNK rows of cols uniform vertices below n: int32 when they fit,
-    which numpy draws from the same stream as int64, else int64."""
+def _draw(rng: np.random.Generator, n: int, rows: int, cols: int) -> np.ndarray:
+    """rows rows of cols uniform vertices below n: int32 when they fit, else
+    int64. numpy draws the same values from the same stream either way, and
+    consecutive calls draw what one call for all their rows would."""
     dtype = np.int32 if n <= 1 << 31 else np.int64
-    return rng.integers(0, n, size=(CHUNK, cols), dtype=dtype)
+    return rng.integers(0, n, size=(rows, cols), dtype=dtype)
 
 
 def _check_attempts(m: int) -> None:

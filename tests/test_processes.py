@@ -631,16 +631,19 @@ def test_runs_recount_the_forest_after_their_last_snapshot(monkeypatch):
 
 @pytest.mark.parametrize("n", [2, 100, 200_000, 2**31 - 1, 2**31, 2**31 + 1])
 def test_proposal_rows_are_drawn_narrow_from_the_int64_stream(n):
-    """The engine draws its rows as int32 whenever every vertex fits. They
-    must be the rows, and leave the generator in the state, of the int64
-    draw the golden results were made with."""
+    """The engine draws its rows as int32 whenever every vertex fits, a
+    chunk in consecutive pieces. They must be the rows, and leave the
+    generator in the state, of the whole int64 chunk the golden results
+    were made with, whether in PIECE pieces or in odd ones."""
+    chunk, piece = processes.CHUNK, processes.PIECE
     for cols in (2, 4):
-        narrow, wide = np.random.default_rng(n), np.random.default_rng(n)
-        rows = processes._draw(narrow, n, cols)
-        assert rows.dtype == (np.int32 if n <= 2**31 else np.int64)
-        want = wide.integers(0, n, size=(processes.CHUNK, cols), dtype=np.int64)
-        assert np.array_equal(rows, want)
-        assert narrow.bit_generator.state == wide.bit_generator.state
+        for sizes in ([chunk], [piece] * (chunk // piece), [1, 7, piece - 8, chunk - piece]):
+            narrow, wide = np.random.default_rng(n), np.random.default_rng(n)
+            pieces = [processes._draw(narrow, n, rows, cols) for rows in sizes]
+            assert {p.dtype for p in pieces} == {np.dtype(np.int32 if n <= 2**31 else np.int64)}
+            want = wide.integers(0, n, size=(chunk, cols), dtype=np.int64)
+            assert np.array_equal(np.concatenate(pieces), want)
+            assert narrow.bit_generator.state == wide.bit_generator.state
 
 
 @pytest.mark.parametrize("fold", [1, 3, 64])
@@ -662,6 +665,46 @@ def test_engine_parity_with_short_folds(kind, fold):
             sim.advance_to(1400)  # rule rounds after the continuation
             runs.append((sim.snapshot(), sim.e1_rounds, sim.rng.bit_generator.state))
     assert runs[0] == runs[1]
+
+
+def piece_trace(kind, engine):
+    """stream_trace's schedule, then a run with a Poisson count drawn on the
+    generator mid-chunk, a continuation of that many edges and rule rounds
+    after it. Returns what both observe (snapshots, first-edge counts,
+    clocks, generator states) and, apart, the rows each read of its
+    current piece."""
+    sched = dict(kind=kind, n=2000, initial="3:5,2:10", seed=19, schedule=(300, 900, 1400),
+                 extra=400)
+    *trace, pos, state = stream_trace(engine=engine, **sched)
+    sim = Simulation(ProcessKind.from_token(kind), 2000, initial="3:5,2:10", seed=19,
+                     engine=engine)
+    sim.advance_to(710)
+    snaps = [sim.snapshot()]
+    extra = poisson_edge_count(0.3, 2000, sim.rng)
+    sim.advance_to(900)
+    sim.add_er_edges(extra)
+    sim.advance_to(1400)  # rule rounds after the continuation
+    snaps.append(sim.snapshot())
+    seen = (trace, state, snaps, sim.e1_rounds, sim.m, sim.extra_attempts,
+            sim.rng.bit_generator.state)
+    return seen, (pos, sim._pos)
+
+
+@pytest.mark.parametrize("piece, chunk", [(1, 1000), (7, 1000), (64, 1000), (processes.PIECE, 100)])
+@pytest.mark.parametrize("kind", [k.value for k in ALL_KINDS])
+def test_engine_parity_across_piece_boundaries(kind, piece, chunk):
+    """Chunks drawn in pieces of 1, 7 and 64 rows, which do not divide the
+    chunk, and chunks shorter than a piece. Both engines must agree, rows
+    read included, and the pieces must not change the stream: what the
+    runs observe equals what they observe when each chunk is drawn in one
+    piece."""
+    with mock.patch.object(processes, "CHUNK", chunk):
+        with mock.patch.object(processes, "PIECE", piece):
+            batch = piece_trace(kind, "auto")
+            assert batch == piece_trace(kind, "python")
+        with mock.patch.object(processes, "PIECE", chunk):
+            whole, _ = piece_trace(kind, "auto")
+    assert batch[0] == whole
 
 
 class WholeChunkReplay:
