@@ -2,7 +2,7 @@
 
 For each of bf, er-wr, er and product from the empty graph, and
 er-poisson from half of the vertices in pairs (as the `giant` experiment
-starts), at n = 1e5, 1e6 and 2e6 to t = 1.3, one fresh interpreter
+starts), at n = 1e5, 2e5, 1e6 and 2e6 to t = 1.3, one fresh interpreter
 advances a batch-engine Simulation with 1 and with 50 evenly spaced
 record points and reports:
 
@@ -27,7 +27,7 @@ ru_minflt:
 `ode`; and importing percolab.harness to validate a `moments` config, the
 set-up that precedes any experiment run.
 
-    python scripts/bench.py --label change --out BENCH_17.json [--src src]
+    python scripts/bench.py --label change --out BENCH_19.json [--src src]
 
 runs the percolab found under --src (default: this checkout's src) and
 stores the results under --label in --out, keeping the other labels
@@ -48,7 +48,7 @@ from pathlib import Path
 
 # (process, initial graph); "pairs" puts half of the vertices in pairs
 CASES = (("bf", ""), ("er-wr", ""), ("er", ""), ("product", ""), ("er-poisson", "pairs"))
-SIZES = (100_000, 1_000_000, 2_000_000)
+SIZES = (100_000, 200_000, 1_000_000, 2_000_000)
 POINTS = (1, 50)
 T_END = 1.3
 SEED = 1

@@ -106,14 +106,16 @@ def _cmd_fixed_point(args) -> int:
 
     dist = SizeDistribution.from_csv(args.dist)
     fp = solve_rho(dist, args.t, tol=args.tol)
+    bounds = None  # computed before any line is printed, so a refused one prints none
+    if fp.rho > 0.0:
+        bounds = supercritical_bounds(dist.s(2), dist.s(3), dist.s(4), args.t)
     print(f"rho={fp.rho:.10g}")
     print(f"regime={fp.regime}")
     print(f"iterations={fp.iterations}")
     print(f"bracket_width={fp.bracket_width:.3g}")
     rows = [ResultRow("fixed_point", "0", None, dist.n_vertices, "", args.t, None,
                       "rho", fp.rho, None, SRC_FIXED_POINT)]
-    if fp.rho > 0.0:
-        bounds = supercritical_bounds(dist.s(2), dist.s(3), dist.s(4), args.t)
+    if bounds is not None:
         print(f"delta_n={bounds.delta_n:.10g}")
         print(f"lower={bounds.lower:.10g}")
         if bounds.upper_valid:

@@ -144,7 +144,8 @@ class SupercriticalBounds:
 
 def supercritical_bounds(s2: float, s3: float, s4: float, t: float) -> SupercriticalBounds:
     """Bounds 2 d (s2^3/s3)(1 - 2 d s2) <= rho <= 2 d (s2^3/s3)(1 + (8/3) d s2^2 s4/s3^2)
-    with d = t - 1/s2; the upper bound needs d s2^2 s4 / s3^2 <= 3/8.
+    with d = t - 1/s2; the upper bound needs d s2^2 s4 / s3^2 <= 3/8. A t so
+    large that the lower bound overflows a float is refused.
     """
     if s2 * s2 > s3 * (1.0 + 1.0e-9) or s3 * s3 > s2 * s4 * (1.0 + 1.0e-9):
         raise InvalidConfigError("moments violate the size-biased inequalities")
@@ -153,9 +154,13 @@ def supercritical_bounds(s2: float, s3: float, s4: float, t: float) -> Supercrit
         raise InvalidConfigError(f"subcritical input: t={t} <= 1/s2={1.0 / s2}")
     base = 2.0 * delta * s2**3 / s3
     cond = delta * s2 * s2 * s4 / (s3 * s3)
+    lower = base * (1.0 - 2.0 * delta * s2)
+    # a valid upper bound is at most 2*base, so it is finite when this one is
+    if not math.isfinite(lower):
+        raise InvalidConfigError(f"the bounds at t={t} are not finite floats")
     return SupercriticalBounds(
         delta_n=delta,
-        lower=base * (1.0 - 2.0 * delta * s2),
+        lower=lower,
         upper=base * (1.0 + (8.0 / 3.0) * cond),
         upper_valid=cond <= 3.0 / 8.0,
     )

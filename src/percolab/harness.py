@@ -19,13 +19,11 @@ import math
 import os
 import time
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from pathlib import Path
 
 import numpy
-import scipy  # the top-level package only, for the version the sidecar records
 
 from .errors import InvalidConfigError
 from .giant import bf_growth_prediction, solve_rho, supercritical_bounds
@@ -69,9 +67,9 @@ GROWTH_LEVEL_DELTA = 0.1
 # the linear law is only established near the transition
 SLOPE_MAX_DELTA = 0.15
 # a block holds each replicate's seed, spec, result and rows at once, 2.5 kB
-# per grid point, and a run draws at least a PIECE of proposals (er a whole
-# CHUNK), so 1e5 replicates take minutes and hundreds of MB; their standard
-# error is 0.3% of one run's spread
+# per grid point, and a run draws at least a PIECE of proposals, so 1e5
+# replicates take minutes and hundreds of MB; their standard error is 0.3%
+# of one run's spread
 MAX_REPLICATES = 100_000
 
 
@@ -273,6 +271,9 @@ def seed_blocks(cfg: ExperimentConfig):
 def _run_ordered(fn, items: list, workers: int) -> list:
     if workers <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
+    # loaded here, so a run on one worker never loads the pool or its threads
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
         return list(pool.map(fn, items))
 
@@ -653,7 +654,6 @@ def write_meta(csv_path: str, cfg: ExperimentConfig, elapsed: float,
         "elapsed_seconds": round(elapsed, 3),
         "versions": {
             "numpy": numpy.__version__,
-            "scipy": scipy.__version__,
         },
         "config": cfg.to_dict(),
         "checks": [

@@ -4,8 +4,7 @@ A Simulation owns one seeded generator and one process rule. Randomness
 comes in fixed-size chunks of CHUNK uniform vertex proposals, and both
 engines consume the identical stream, so traces match exactly across
 engines for a given seed. A chunk is drawn PIECE rows at a time, as the
-rows are needed (er draws it whole, since its key merge copies every key
-once per slice); consecutive draws give the values, and leave the
+rows are needed; consecutive draws give the values, and leave the
 generator in the state, of one draw of the whole chunk. The generator
 reaches a chunk's end when the chunk is spent, when the rows change shape
 (a two-choice rule's quadruples against the pairs of a continuation),
@@ -328,11 +327,8 @@ class Simulation:
         return self._rng
 
     def _piece(self) -> np.ndarray:
-        """Draw the next piece of the current chunk. er draws the rest of the
-        chunk at once, since its key merge copies every key once per slice."""
-        rows = self._undrawn
-        if self.kind is not ProcessKind.ER_WITHOUT_REPLACEMENT:
-            rows = min(rows, PIECE)
+        """Draw the next piece of the current chunk, at most PIECE rows."""
+        rows = min(self._undrawn, PIECE)
         self._undrawn -= rows
         return _draw(self._rng, self.n, rows, self._cols)
 

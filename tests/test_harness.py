@@ -394,12 +394,16 @@ def test_cli_usage_errors_exit_2():
     ("experiment", "--config", "{tmp}/binary"),
     ("experiment", "--config", "{tmp}/constants.json", "--out", "{tmp}/dist.csv/x.csv"),
     ("experiment", "--config", "{tmp}/nested.json"),
+    ("fixed-point", "--dist", "{tmp}/triples.csv", "--t", "1e160", "--csv", "{tmp}/missing"),
+    ("fixed-point", "--dist", "{tmp}/triples.csv", "--t", "1e300"),
 ])
 def test_cli_bad_inputs_exit_2_without_a_traceback(tmp_path, args):
     """Unparsable record lists, tolerances that are not finite and positive,
-    and files that cannot be read or written (or parsed, like a config nested
-    too deeply for the JSON reader) are usage errors."""
+    files that cannot be read or written (or parsed, like a config nested
+    too deeply for the JSON reader) and a t whose giant bounds overflow a
+    float are usage errors; no CSV is written."""
     (tmp_path / "dist.csv").write_text("size,count\n1,500\n2,250\n")
+    (tmp_path / "triples.csv").write_text("size,count\n3,5\n")
     (tmp_path / "nested.json").write_text("[" * 100000 + "]" * 100000)
     (tmp_path / "constants.json").write_text('{"experiment": "constants", "n": 100}')
     (tmp_path / "binary").write_bytes(b"\xff\xfe\x00size,count\n")

@@ -1,10 +1,11 @@
-"""No path loads scipy's solvers.
+"""No path loads scipy, and a run on one worker loads no thread pool.
 
 The limit system is integrated by the package's own DOP853 and Brent
 (percolab.dop853), so the `ode` subcommand and every experiment run on
-numpy alone; the package imports only scipy's top-level module, for the
-version the sidecar records. Each test runs in a fresh interpreter, since
-a module once imported stays in sys.modules.
+numpy alone, and the package imports no scipy module at all: the sidecar
+records the numpy version only. concurrent.futures is imported only when
+a block of replicates runs on more than one worker. Each test runs in a
+fresh interpreter, since a module once imported stays in sys.modules.
 """
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from conftest import child_env
+from percolab.harness import EXPERIMENTS
 
 HALF_PAIRS = str(Path(__file__).resolve().parents[1] / "scripts" / "data" / "half_pairs.csv")
 SOLVERS = ("scipy.integrate", "scipy.optimize", "scipy.special")
@@ -59,6 +61,66 @@ LIMIT_SYSTEM_CONFIGS = [
     {"experiment": "growth", "n": 1000, "replicates": 2, "delta_grid": [0.1],
      "out": "growth.csv"},
 ]
+
+
+ONE_WORKER_CONFIGS = [dict(cfg, workers=1) for cfg in LIMIT_SYSTEM_CONFIGS] + [
+    {"experiment": "giant", "n": 2000, "replicates": 2, "initial": "2:500",
+     "t_grid": [0.6, 1.5], "workers": 1, "out": "giant.csv"},
+    {"experiment": "variant_agreement", "n": 2000, "replicates": 2, "t_grid": [0.5],
+     "workers": 1, "out": "variants.csv"},
+]
+UNUSED = """
+def unused():
+    return sorted(m for m in sys.modules
+                  if m.partition(".")[0] == "scipy" or m.startswith("concurrent.futures"))
+"""
+
+
+def test_one_worker_runs_load_neither_scipy_nor_the_thread_pool(tmp_path):
+    """Importing the package and its command line, running each subcommand,
+    then validating and running a one-worker config of every experiment
+    loads no scipy module and no concurrent.futures."""
+    assert {cfg["experiment"] for cfg in ONE_WORKER_CONFIGS} == set(EXPERIMENTS)
+    code = f"""
+import sys
+import percolab, percolab.cli
+from percolab.harness import ExperimentConfig, run_config
+{UNUSED}
+for args in ({list(SIMULATE)!r}, {list(FIXED_POINT)!r}, {list(ODE)!r}):
+    assert percolab.cli.main(args) == 0
+for cfg in {ONE_WORKER_CONFIGS!r}:
+    config = ExperimentConfig.from_dict(cfg)
+    assert run_config(config) == 0
+print("loaded:", unused())
+"""
+    proc = child(code, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "loaded: []"
+    for cfg in ONE_WORKER_CONFIGS:
+        assert (tmp_path / cfg["out"]).exists()
+
+
+def test_a_pooled_run_loads_the_pool_and_writes_the_serial_csv(tmp_path):
+    """A moments run on two workers imports concurrent.futures, which one on
+    one worker does not, and writes the same CSV byte for byte."""
+    code = f"""
+import sys
+from percolab.harness import ExperimentConfig, run_config
+{UNUSED}
+for workers in (1, 2):
+    config = ExperimentConfig.from_dict({{"experiment": "moments", "n": 1000, "replicates": 3,
+                                         "t_grid": [0.5, 1.0], "workers": workers,
+                                         "out": f"moments-{{workers}}.csv"}})
+    assert run_config(config) == 0
+    print("pool:", workers, unused())
+"""
+    proc = child(code, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    pool = [line for line in proc.stdout.splitlines() if line.startswith("pool:")]
+    assert pool[0] == "pool: 1 []"
+    assert pool[1].startswith("pool: 2 ['concurrent.futures'")
+    serial = (tmp_path / "moments-1.csv").read_bytes()
+    assert serial and (tmp_path / "moments-2.csv").read_bytes() == serial
 
 
 def test_the_limit_system_never_loads_the_solvers():

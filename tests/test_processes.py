@@ -711,15 +711,18 @@ class WholeChunkReplay:
     """The proposal stream replayed apart from the engine, as the golden
     results were made: whole CHUNK draws of int64 rows, a new chunk when one
     is spent or the row shape changes, and a Poisson count drawn on the
-    generator between chunk draws. Rules are played row by row and the
-    components counted by scipy."""
+    generator between chunk draws. Rules are played row by row, from the
+    paths of an initial graph, and the components counted by scipy."""
 
-    def __init__(self, n, seed):
+    def __init__(self, n, seed, initial=""):
         self.n = n
         self.rng = np.random.default_rng(seed)
         self.rows, self.pos, self.cols = [], 0, 0
         self.iso = bytearray([1]) * n
         self.edges = []
+        for u, v in InitialGraphSpec.parse(initial).path_edges():
+            self.join(u, v)
+        self.pairs = set(self.edges)  # er's pairs present, as (lower, upper)
 
     def row(self, cols):
         if self.pos == len(self.rows) or cols != self.cols:
@@ -738,6 +741,16 @@ class WholeChunkReplay:
         while count:
             u, v = self.row(2)
             if u != v:
+                self.join(u, v)
+                count -= 1
+
+    def er(self, count):
+        """count er edges; a loop row or a pair present is skipped uncounted."""
+        while count:
+            u, v = self.row(2)
+            pair = (min(u, v), max(u, v))
+            if u != v and pair not in self.pairs:
+                self.pairs.add(pair)
                 self.join(u, v)
                 count -= 1
 
@@ -771,19 +784,35 @@ def test_mid_chunk_poisson_counts_keep_the_whole_chunk_stream():
     assert run_process("er-poisson", n, t_end=1.3, record_at=grid, seed=5) == want
 
 
-@pytest.mark.parametrize("kind, t_end, continue_t", [("bf", 0.8, 0.3), ("er-wr", 0.5, 0.6)])
+@pytest.mark.parametrize("initial", ["", "2:50000"])
+def test_er_pieces_keep_the_whole_chunk_stream(initial):
+    """er's 90,000 insertions at n = 2e5 read three pieces of one chunk, with
+    records in each; its pair lookups and key merges must see the rows of
+    one whole-chunk draw, from the empty graph and from half of the vertices
+    in pairs."""
+    n, grid = 200_000, (0.1, 0.5, 0.9)
+    replay, want, m = WholeChunkReplay(n, 6, initial), [], 0
+    for t in grid:
+        target = int(round(n * t / 2))
+        replay.er(target - m)
+        m = target
+        want.append(replay.snapshot(m).trace(2 * m / n))
+    assert run_process("er", n, initial=initial, t_end=0.9, record_at=grid, seed=6) == want
+
+
+@pytest.mark.parametrize("kind, t_end, continue_t",
+                         [("bf", 0.8, 0.3), ("er-wr", 0.5, 0.6), ("er", 0.9, 0.6)])
 def test_stop_restart_keeps_the_whole_chunk_stream(kind, t_end, continue_t):
     """The continuation's Poisson count is drawn tens of thousands of rows
     into a chunk. bf then switches to pairs, which drops the rest of its
-    chunk; er-wr keeps its shape, so its continuation reads on in the same
-    chunk, for more than 2^15 rows."""
+    chunk; er-wr and er keep their shape, so their continuation reads on in
+    the same chunk, for more than 2^15 rows. A piece that er read twice
+    would change none of its records, every pair in it being present the
+    second time, but would change the rows this continuation reads."""
     n = 200_000
     replay = WholeChunkReplay(n, 3)
     main = math.floor(n * t_end / 2)
-    if kind == "bf":
-        replay.bf(main)
-    else:
-        replay.uniform(main)
+    {"bf": replay.bf, "er-wr": replay.uniform, "er": replay.er}[kind](main)
     stopped = replay.snapshot(main).trace(2 * main / n)
     replay.uniform(poisson_edge_count((1.0 - stopped.x1 * stopped.x1) * continue_t, n, replay.rng))
     want = (stopped, replay.snapshot(main).dist.c1 / n)
