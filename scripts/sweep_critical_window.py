@@ -21,8 +21,7 @@ def main() -> None:
     args = ap.parse_args()
 
     c = percolab.find_tc()
-    traj = percolab.integrate("transformed", t_end=c.tc + args.halfwidth + 0.05,
-                              tol=1e-10)
+    traj = percolab.integrate(t_end=c.tc + args.halfwidth + 0.05, tol=1e-10)
     step = 2 * args.halfwidth / (args.points - 1)
     grid = [round(c.tc - args.halfwidth + i * step, 6) for i in range(args.points)]
     recs = percolab.run_process(

@@ -8,7 +8,6 @@ survival equation, and reproduces the theory's numerical claims at
 desk scale through a seeded experiment harness.
 """
 from .errors import (
-    BlowUpError,
     BracketError,
     CriticalWindowError,
     InvalidConfigError,
@@ -37,10 +36,7 @@ from .ledger import (
 )
 from .ode import (
     CriticalConstants,
-    OdeState,
-    TransformedState,
     Trajectory,
-    deriv_raw,
     deriv_transformed,
     find_tc,
     integrate,

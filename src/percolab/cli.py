@@ -1,13 +1,15 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 invalid configuration or arguments (an n or
-replicate count too large to allocate included), 3 numerical failure,
+replicate count too large to allocate included) or standard output that
+cannot be written (silently for a closed pipe), 3 numerical failure,
 4 threshold violation under --check (or no check emitted at all).
 """
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import astuple, fields
 from pathlib import Path
@@ -156,7 +158,9 @@ def main(argv=None) -> int:
         "experiment": _cmd_experiment,
     }
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        print(end="", flush=True)  # stdout fails here, not at exit; None stdout is skipped
+        return code
     except InvalidConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -166,6 +170,13 @@ def main(argv=None) -> int:
     except NumericalFailureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        if exc.filename is not None:  # the commands report their own files' errors
+            raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so the exit flush succeeds
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write standard output: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -379,13 +379,12 @@ class DenseSolution:
         return y
 
 
-def solve(deriv, y0, t_end, tol, after_step=None) -> DenseSolution:
+def solve(deriv, y0, t_end, tol) -> DenseSolution:
     """Integrate y' = deriv(t, y) from y(0) = y0 to t_end > 0 with relative and
     absolute tolerance tol, as solve_ivp's DOP853 with dense output does.
 
-    after_step(t, y), if given, sees the state at the end of each accepted
-    step and may raise to stop the integration. A step size that falls below
-    the spacing of floats near t raises NumericalFailureError.
+    A step size that falls below the spacing of floats near t raises
+    NumericalFailureError.
     """
     def fun(t, y):
         return np.asarray(deriv(t, y), dtype=float)
@@ -435,8 +434,6 @@ def solve(deriv, y0, t_end, tol, after_step=None) -> DenseSolution:
         pieces.append((t, h, y, _interpolant(fun, t, h, y, y_new, f_new, K_extended)))
         ts.append(t_new)
         t, y, f = t_new, y_new, f_new
-        if after_step is not None:
-            after_step(t, y)
     return DenseSolution(ts, pieces)
 
 

@@ -14,10 +14,6 @@ class NumericalFailureError(RuntimeError):
     """A numerical procedure could not produce a trustworthy result."""
 
 
-class BlowUpError(NumericalFailureError):
-    """The raw moment system exceeded its cap before the requested time."""
-
-
 class BracketError(NumericalFailureError):
     """A root finder could not bracket a sign change."""
 

@@ -166,14 +166,13 @@ def supercritical_bounds(s2: float, s3: float, s4: float, t: float) -> Supercrit
     )
 
 
-def bf_growth_prediction(constants: CriticalConstants, delta: float,
-                         band_coeff: float = 1.0) -> tuple[float, float]:
+def bf_growth_prediction(constants: CriticalConstants, delta: float) -> tuple[float, float]:
     """Predicted giant fraction gamma*delta just past the critical time.
 
     The theory pins the slope gamma and a correction of order
-    delta^(4/3) with an unknown constant; band_coeff calibrates the
-    reported halfwidth (1.0 covers desk-scale runs up to delta 0.15).
+    delta^(4/3) with an unknown constant; the reported halfwidth takes
+    that constant as 1, which covers desk-scale runs up to delta 0.15.
     """
     if delta <= 0:
         raise InvalidConfigError("delta must be > 0")
-    return constants.gamma * delta, band_coeff * delta ** (4.0 / 3.0)
+    return constants.gamma * delta, delta ** (4.0 / 3.0)

@@ -1,20 +1,18 @@
 """Deterministic limit system for the bounded-size process.
 
-The raw system evolves (xbar, sbar2, sbar3, sbar4), the limiting
-isolated-vertex fraction and scaled susceptibility moments. sbar2
-blows up at a finite critical time t_c, so the critical point is
-located on the transformed system in
+The limiting isolated-vertex fraction xbar and scaled susceptibility
+moments sbar2, sbar3, sbar4 evolve by a raw moment system whose sbar2
+blows up at a finite critical time t_c. The package integrates only the
+transformed system in
 
     f = 1/sbar2,  g = sbar3/sbar2^3,  h1 = sbar4/sbar2^4 - 3 g^2 / f,
 
 which stays regular through the singularity; t_c is the first zero of
-f. The growth constants follow algebraically from xbar(t_c) and
-g(t_c).
-
-Both systems are integrated by DOP853 with dense output, and t_c is
-found by Brent's method, from the numpy-only ports in dop853.py: they
-compute what scipy's solve_ivp and brentq compute, bit for bit, without
-loading scipy's solvers.
+f. The growth constants follow from xbar(t_c) and g(t_c). The raw
+system is the tests' oracle, integrated there by scipy. Here DOP853
+with dense output and Brent's method come from the numpy-only ports in
+dop853.py, which compute what scipy's solve_ivp and brentq compute, bit
+for bit, without loading scipy's solvers.
 """
 from __future__ import annotations
 
@@ -24,55 +22,20 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import dop853
-from .errors import BlowUpError, BracketError, CriticalWindowError
+from .errors import BracketError, CriticalWindowError
 
 __all__ = [
-    "OdeState",
-    "TransformedState",
     "CriticalConstants",
     "Trajectory",
-    "deriv_raw",
     "deriv_transformed",
     "integrate",
     "find_tc",
     "sbar_k",
 ]
 
-RAW_S2_CAP = 1.0e6  # the raw system is never integrated past this
 F_FLOOR = 1.0e-6  # moments are not reported closer to critical than this
 T_SPAN_MAX = 1.4  # comfortably past the critical time
 DEFAULT_ODE_TOL = 1.0e-10
-
-
-@dataclass(frozen=True)
-class OdeState:
-    t: float
-    xbar: float
-    s2: float
-    s3: float
-    s4: float
-
-
-@dataclass(frozen=True)
-class TransformedState:
-    t: float
-    xbar: float
-    f: float
-    g: float
-    h1: float
-
-
-def deriv_raw(t: float, y) -> list[float]:
-    """Right-hand side of the raw (xbar, s2, s3, s4) system."""
-    x, s2, s3, s4 = y
-    x2 = x * x
-    q = 1.0 - x2
-    return [
-        -x2 - q * x,
-        x2 + q * s2 * s2,
-        3.0 * x2 + 3.0 * q * s2 * s3,
-        7.0 * x2 + q * (4.0 * s2 * s4 + 3.0 * s3 * s3),
-    ]
 
 
 def deriv_transformed(t: float, y) -> list[float]:
@@ -89,29 +52,15 @@ def deriv_transformed(t: float, y) -> list[float]:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Dense-output solution of one of the two systems on [0, t_end]."""
+    """Dense-output solution of the (xbar, f, g, h1) system on [0, t_end]."""
 
-    system: str
     t_end: float
-    tol: float
     _sol: object
 
     def state(self, t: float) -> np.ndarray:
         if not 0.0 <= t <= self.t_end:
             raise ValueError(f"t={t} outside [0, {self.t_end}]")
         return self._sol(t)
-
-    def raw_state(self, t: float) -> OdeState:
-        if self.system != "raw":
-            raise ValueError("raw_state needs a raw trajectory")
-        x, s2, s3, s4 = (float(v) for v in self.state(t))
-        return OdeState(t, x, s2, s3, s4)
-
-    def transformed_state(self, t: float) -> TransformedState:
-        if self.system != "transformed":
-            raise ValueError("transformed_state needs a transformed trajectory")
-        x, f, g, h1 = (float(v) for v in self.state(t))
-        return TransformedState(t, x, f, g, h1)
 
     def xbar(self, t: float) -> float:
         return float(self.state(t)[0])
@@ -123,31 +72,10 @@ class Trajectory:
         return float(self.state(t)[2])
 
 
-def integrate(system: str = "transformed", t_end: float = T_SPAN_MAX,
-              tol: float = DEFAULT_ODE_TOL, xbar0: float = 1.0) -> Trajectory:
-    """Adaptive high-order Runge-Kutta integration with dense output.
-
-    xbar0=0 freezes the two-choice branch and reduces the raw system to
-    the pure uniform-edge limit. Integrating the raw system into the
-    blow-up raises BlowUpError at the first step that ends past the cap.
-    """
-    if system == "raw":
-        y0 = [xbar0, 1.0, 1.0, 1.0]
-        deriv = deriv_raw
-
-        def after_step(t, y):
-            if y[1] >= RAW_S2_CAP:
-                raise BlowUpError(
-                    f"second moment exceeded {RAW_S2_CAP:g} by t={t:.6f} < {t_end}"
-                )
-    elif system == "transformed":
-        y0 = [xbar0, 1.0, 1.0, -2.0]
-        deriv = deriv_transformed
-        after_step = None
-    else:
-        raise ValueError(f"unknown system {system!r}")
-    sol = dop853.solve(deriv, y0, t_end, tol, after_step)
-    return Trajectory(system=system, t_end=t_end, tol=tol, _sol=sol)
+def integrate(t_end: float = T_SPAN_MAX, tol: float = DEFAULT_ODE_TOL) -> Trajectory:
+    """DOP853 with dense output from (xbar, f, g, h1) = (1, 1, 1, -2) at t = 0."""
+    sol = dop853.solve(deriv_transformed, [1.0, 1.0, 1.0, -2.0], t_end, tol)
+    return Trajectory(t_end, sol)
 
 
 @dataclass(frozen=True)
@@ -221,7 +149,7 @@ def find_tc(tol: float = 1.0e-8, ode_tol: float | None = None) -> CriticalConsta
     fine = _cached_traj(ode_tol)  # the trajectory critical_trajectory() shares
     tc = _locate_tc(fine, xtol=min(tol, 1.0e-8))
     vals = _constants_at(fine, tc)
-    coarse = integrate("transformed", T_SPAN_MAX, min(ode_tol * 1.0e4, 1.0e-6))
+    coarse = integrate(T_SPAN_MAX, min(ode_tol * 1.0e4, 1.0e-6))
     tc_c = _locate_tc(coarse, xtol=min(tol, 1.0e-8))
     vals_c = _constants_at(coarse, tc_c)
     errs = {
@@ -232,25 +160,25 @@ def find_tc(tol: float = 1.0e-8, ode_tol: float | None = None) -> CriticalConsta
     return CriticalConstants(**vals, **errs)
 
 
-def critical_trajectory(tol: float = DEFAULT_ODE_TOL * 0.01) -> Trajectory:
-    """Shared transformed trajectory through the critical region."""
-    return _cached_traj(max(tol, 1.0e-13))
+def critical_trajectory() -> Trajectory:
+    """The trajectory find_tc() integrates at its default ode_tol, shared."""
+    return _cached_traj(DEFAULT_ODE_TOL * 0.01)
 
 
 @functools.lru_cache(maxsize=4)
 def _cached_traj(tol: float) -> Trajectory:
-    return integrate("transformed", T_SPAN_MAX, tol)
+    return integrate(T_SPAN_MAX, tol)
 
 
 def sbar_k(traj: Trajectory, t: float) -> tuple[float, float, float]:
     """(s2, s3, s4) limits at subcritical t, recovered from (f, g, h1)."""
-    st = traj.transformed_state(t)
-    if st.f < F_FLOOR:
+    _, f, g, h1 = (float(v) for v in traj.state(t))
+    if f < F_FLOOR:
         raise CriticalWindowError(
-            f"f(t)={st.f:.2e} below {F_FLOOR:g}; too close to the critical time"
+            f"f(t)={f:.2e} below {F_FLOOR:g}; too close to the critical time"
         )
-    s2 = 1.0 / st.f
-    s3 = st.g * s2**3
-    s4 = (st.h1 + 3.0 * st.g * st.g / st.f) * s2**4
+    s2 = 1.0 / f
+    s3 = g * s2**3
+    s4 = (h1 + 3.0 * g * g / f) * s2**4
     return s2, s3, s4
 

@@ -17,6 +17,9 @@ from conftest import child_env
 import percolab
 from percolab import (
     SizeDistribution,
+    Trajectory,
+    deriv_transformed,
+    dop853,
     integrate,
     run_process,
     sbar_k,
@@ -76,7 +79,7 @@ def test_01_cli_reports_critical_constants_fast():
 def test_02_no_isolated_vertices_matches_er_closed_form():
     """With no isolated vertices the susceptibility limit is 1/(1-t)."""
     t0 = time.perf_counter()
-    traj = integrate("transformed", t_end=0.9, tol=1e-12, xbar0=0.0)
+    traj = Trajectory(0.9, dop853.solve(deriv_transformed, [0.0, 1.0, 1.0, -2.0], 0.9, 1e-12))
     rel = max(
         abs(sbar_k(traj, t)[0] * (1.0 - t) - 1.0) for t in (0.25, 0.5, 0.75)
     )
@@ -120,7 +123,7 @@ def test_04_bf_subcritical_moments_track_ode():
         "t_grid": [0.5, 1.0], "workers": 4,
     })
     outcome = run_experiment(cfg)
-    traj = integrate("transformed", t_end=1.1, tol=1e-12)
+    traj = integrate(t_end=1.1, tol=1e-12)
     worst_name, worst_rel = "", -1.0
     for t in (0.5, 1.0):
         preds = dict(zip(("s2", "s3", "s4"), sbar_k(traj, t)))

@@ -9,14 +9,15 @@ import pytest
 import scipy.optimize
 from scipy.integrate import solve_ivp
 
+from conftest import deriv_raw
 from percolab import dop853, ode
 from percolab.errors import BracketError, NonconvergenceError, NumericalFailureError
 
 TOLS = (1e-13, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4)
 SYSTEMS = {
     "transformed": (ode.deriv_transformed, [1.0, 1.0, 1.0, -2.0], 1.4),
-    "raw": (ode.deriv_raw, [1.0, 1.0, 1.0, 1.0], 0.9),
-    "raw-uniform": (ode.deriv_raw, [0.0, 1.0, 1.0, 1.0], 0.9),
+    "raw": (deriv_raw, [1.0, 1.0, 1.0, 1.0], 0.9),
+    "raw-uniform": (deriv_raw, [0.0, 1.0, 1.0, 1.0], 0.9),
 }
 
 
@@ -38,7 +39,7 @@ def scipy_brentq(f, a, b, xtol, rtol):
 
 @pytest.mark.parametrize("tol", [1e-12, 1e-8])  # find_tc's fine and coarse runs
 def test_brent_on_the_f_crossing_equals_scipy(tol):
-    traj = ode.integrate("transformed", ode.T_SPAN_MAX, tol)
+    traj = ode.integrate(ode.T_SPAN_MAX, tol)
     ts = np.linspace(0.9, traj.t_end, 101)
     i = next(i for i in range(100) if traj.f(ts[i]) > 0.0 >= traj.f(ts[i + 1]))
     for xtol in (1e-8, 1e-10, 1e-12):
@@ -90,7 +91,7 @@ def test_find_tc_equals_its_value_through_scipy(monkeypatch, tol):
 
     class Scipy:
         @staticmethod
-        def solve(deriv, y0, t_end, tol, after_step=None):
+        def solve(deriv, y0, t_end, tol):
             return solve_ivp(deriv, (0.0, t_end), y0, method="DOP853", rtol=tol, atol=tol,
                              dense_output=True).sol
 
@@ -119,21 +120,6 @@ def test_find_tc_equals_its_value_through_scipy(monkeypatch, tol):
 def test_a_failing_step_raises_numerical_failure(deriv):
     with pytest.raises(NumericalFailureError, match="integration failed"):
         dop853.solve(deriv, [1.0], 2.0, 1e-8)
-
-
-def test_after_step_sees_each_step_end_and_can_stop_the_run():
-    seen = []
-    sol = dop853.solve(lambda t, y: -y, [1.0], 2.0, 1e-10, lambda t, y: seen.append(t))
-    assert seen == list(sol.ts[1:])
-
-    class Stop(Exception):
-        pass
-
-    def stop(t, y):
-        raise Stop(t)
-
-    with pytest.raises(Stop):
-        dop853.solve(lambda t, y: -y, [1.0], 2.0, 1e-10, stop)
 
 
 @pytest.mark.parametrize("f, a, b, xtol, error", [

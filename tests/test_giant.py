@@ -183,5 +183,4 @@ def test_growth_prediction_center_and_band():
     assert center1 == pytest.approx(c.gamma * 0.1, rel=1e-12)
     assert center2 / center1 == pytest.approx(0.5, rel=1e-12)
     assert half2 / half1 == pytest.approx(2 ** (-4 / 3), rel=1e-12)
-    _, half_scaled = bf_growth_prediction(c, 0.1, band_coeff=2.5)
-    assert half_scaled == pytest.approx(2.5 * half1, rel=1e-12)
+    assert half1 == 0.1 ** (4 / 3)

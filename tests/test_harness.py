@@ -414,6 +414,36 @@ def test_cli_bad_inputs_exit_2_without_a_traceback(tmp_path, args):
     assert not (tmp_path / "missing").exists()
 
 
+def test_cli_unwritable_stdout_exits_2_without_a_traceback():
+    """A full device reports the failed write; a reader that closes the pipe
+    early (like `| head -1`) gets no message at all."""
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "percolab", "ode"], stdout=full,
+                              stderr=subprocess.PIPE, text=True, timeout=60, env=child_env())
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: cannot write standard output: [Errno 28]")
+    # 3000 trace rows, about 160 KB: more than a pipe holds, so writes go on
+    # after the reader has gone
+    record = ",".join(str(i / 1000) for i in range(1, 3001))
+    with subprocess.Popen([sys.executable, "-m", "percolab", "simulate", "--process", "er-wr",
+                           "--n", "1000", "--t", "3", "--seed", "1", "--record", record],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                          env=child_env()) as proc:
+        assert proc.stdout.readline() == "t,m,s2,s3,s4,c1_frac,c2_frac,x1\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+    assert (proc.returncode, stderr) == (2, "")
+
+
+def test_cli_started_without_stdout_succeeds_silently():
+    """With file descriptor 1 closed, sys.stdout is None and print() writes
+    nothing; the run still succeeds."""
+    proc = subprocess.run([sys.executable, "-m", "percolab", "ode"], stderr=subprocess.PIPE,
+                          text=True, timeout=60, env=child_env(),
+                          preexec_fn=lambda: os.close(1))
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
 def test_cli_simulate_rejects_numba_engine_and_er_beyond_complete_graph():
     assert cli("simulate", "--process", "bf", "--n", "10", "--t", "1",
                "--seed", "1", "--engine", "numba").returncode == 2

@@ -4,15 +4,20 @@ The limit system is integrated by the package's own DOP853 and Brent
 (percolab.dop853), so the `ode` subcommand and every experiment run on
 numpy alone, and the package imports no scipy module at all: the sidecar
 records the numpy version only. concurrent.futures is imported only when
-a block of replicates runs on more than one worker. Each test runs in a
-fresh interpreter, since a module once imported stays in sys.modules.
+a block of replicates runs on more than one worker. Each of those tests
+runs in a fresh interpreter, since a module once imported stays in
+sys.modules. Last, every module's star import binds each name its
+__all__ lists.
 """
+import importlib
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import percolab
 from conftest import child_env
 from percolab.harness import EXPERIMENTS
 
@@ -185,3 +190,12 @@ def test_the_block_is_real():
                  "import scipy.integrate")
     assert proc.returncode != 0
     assert "ModuleNotFoundError" in proc.stderr
+
+
+@pytest.mark.parametrize("name", sorted(
+    m.name for m in pkgutil.iter_modules(percolab.__path__) if m.name != "__main__"))
+def test_star_import_binds_every_name_in_all(name):
+    module = importlib.import_module(f"percolab.{name}")
+    namespace = {}
+    exec(f"from percolab.{name} import *", namespace)
+    assert [n for n in getattr(module, "__all__", ()) if n not in namespace] == []

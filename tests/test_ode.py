@@ -2,19 +2,22 @@
 the critical constants extracted from it."""
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.integrate import cumulative_simpson
+from conftest import child_env, deriv_raw
+from scipy.integrate import cumulative_simpson, solve_ivp
 
 import percolab
 from percolab import (
-    BlowUpError,
     CriticalWindowError,
-    deriv_raw,
+    Trajectory,
     deriv_transformed,
+    dop853,
     find_tc,
-    integrate,
     sbar_k,
 )
 
@@ -66,33 +69,37 @@ def test_transformed_derivatives_with_no_isolated_vertices():
 
 @pytest.mark.parametrize("t", [0.25, 0.5, 0.75])
 def test_no_isolated_vertices_reduces_to_er_susceptibility(t):
-    traj = integrate("transformed", t_end=0.99, tol=1e-12, xbar0=0.0)
+    traj = Trajectory(0.99, dop853.solve(deriv_transformed, [0.0, 1.0, 1.0, -2.0], 0.99, 1e-12))
     s2 = sbar_k(traj, t)[0]
     assert abs(s2 * (1.0 - t) - 1.0) < 1e-9
 
 
-def test_raw_and_transformed_systems_agree(traj, raw_traj):
+def test_raw_and_transformed_systems_agree(traj, raw_sol):
     for t in (0.25, 0.6, 1.0):
-        got = sbar_k(traj, t)
-        want = raw_traj.raw_state(t)
-        for a, b in zip(got, (want.s2, want.s3, want.s4)):
+        x, *want = raw_sol(t)
+        for a, b in zip(sbar_k(traj, t), want):
             assert a == pytest.approx(b, rel=1e-10)
-        assert traj.xbar(t) == pytest.approx(raw_traj.xbar(t), rel=1e-10)
+        assert traj.xbar(t) == pytest.approx(x, rel=1e-10)
 
 
 def test_raw_system_blows_up_before_window_end(constants):
-    with pytest.raises(BlowUpError, match=r"exceeded 1e\+06 by t=") as info:
-        integrate("raw", t_end=1.4, tol=1e-10)
-    # the message names the end of the first step past the cap, just before tc
-    t = float(str(info.value).split("by t=")[1].split()[0])
+    # s2 ~ alpha/(tc - t), so s2 reaches 1e6 about alpha * 1e-6 before tc
+    def s2_cap(t, y):
+        return y[1] - 1.0e6
+
+    s2_cap.terminal = True
+    sol = solve_ivp(deriv_raw, (0.0, 1.4), [1.0, 1.0, 1.0, 1.0], method="DOP853",
+                    rtol=1e-10, atol=1e-10, events=s2_cap)
+    assert sol.status == 1
+    (t,) = sol.t_events[0]
     assert constants.tc - 1e-5 < t < constants.tc
 
 
 def test_transformed_system_passes_through_singularity(traj):
     # f crosses zero and keeps going; state at 1.3 is finite and sane
-    st = traj.transformed_state(1.3)
-    assert st.f < 0.0
-    assert math.isfinite(st.g) and math.isfinite(st.h1)
+    _, f, g, h1 = traj.state(1.3)
+    assert f < 0.0
+    assert math.isfinite(g) and math.isfinite(h1)
 
 
 def test_sbar_refuses_the_critical_window(traj, constants):
@@ -107,12 +114,12 @@ def test_xbar_monotone_decreasing(traj):
     assert 0.0 < xs[-1] < 1.0
 
 
-def test_moment_inequalities_hold_along_trajectory(raw_traj):
+def test_moment_inequalities_hold_along_trajectory(raw_sol):
     for t in np.linspace(0.05, 1.05, 21):
-        st = raw_traj.raw_state(float(t))
-        assert 1.0 <= st.s2 <= st.s3 <= st.s4
-        assert st.s2**2 <= st.s3 * (1 + 1e-12)
-        assert st.s3**2 <= st.s2 * st.s4 * (1 + 1e-12)
+        _, s2, s3, s4 = raw_sol(float(t))
+        assert 1.0 <= s2 <= s3 <= s4
+        assert s2**2 <= s3 * (1 + 1e-12)
+        assert s3**2 <= s2 * s4 * (1 + 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +160,7 @@ def test_find_tc_and_critical_trajectory_integrate_the_fine_system_once(monkeypa
     ode._cached_traj.cache_clear()
     ode.find_tc()
     ode.critical_trajectory()
-    assert calls == [("transformed", ode.T_SPAN_MAX, 1e-12), ("transformed", ode.T_SPAN_MAX, 1e-8)]
+    assert calls == [(ode.T_SPAN_MAX, 1e-12), (ode.T_SPAN_MAX, 1e-8)]
 
 
 def test_reported_errors_are_small_and_positive(constants):
@@ -191,7 +198,7 @@ def test_susceptibility_divergence_rate(traj, constants):
 
 def test_g_is_quadratically_flat_at_critical_time(traj, constants):
     # g(tc) - g(tc - eps) ~ C eps^2, so doubling eps quadruples the gap
-    g = lambda t: traj.transformed_state(t).g
+    g = traj.g
     tc = constants.tc
     for eps in (0.05, 0.02):
         ratio = (g(tc) - g(tc - 2 * eps)) / (g(tc) - g(tc - eps))
@@ -204,5 +211,21 @@ def test_g_reconstruction_from_quadrature(traj, constants):
         constants.beta, abs=1e-8
     )
     assert reconstruct_g(traj, 0.8) == pytest.approx(
-        traj.transformed_state(0.8).g, abs=1e-8
+        traj.g(0.8), abs=1e-8
     )
+
+
+# ---------------------------------------------------------------------------
+# scripts/sweep_critical_window.py, the one caller of integrate outside the package
+
+def test_critical_window_sweep_script_runs():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "sweep_critical_window.py"
+    proc = subprocess.run([sys.executable, str(script), "--n", "20000", "--points", "5"],
+                          capture_output=True, text=True, timeout=120, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[1] == "t,side,c1_frac,s2,s2_pred,c1_pred"
+    rows = [line.split(",") for line in lines[2:]]
+    assert len(rows) == 5
+    sub = [row for row in rows if row[1] == "sub"]
+    assert sub and all(row[4] for row in sub)

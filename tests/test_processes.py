@@ -952,18 +952,18 @@ def test_er_susceptibility_matches_subcritical_closed_form():
     assert recs[1].s2 == pytest.approx(4.0, rel=0.05)
 
 
-def test_bf_fraction_isolated_tracks_ode(raw_traj):
+def test_bf_fraction_isolated_tracks_ode(traj):
     recs = run_process("bf", 200000, t_end=1.0, record_at=(1.0,), seed=42)
-    assert recs[0].x1 == pytest.approx(raw_traj.xbar(1.0), abs=0.01)
+    assert recs[0].x1 == pytest.approx(traj.xbar(1.0), abs=0.01)
 
 
-def test_bf_first_edge_rate_matches_xbar_squared(raw_traj):
+def test_bf_first_edge_rate_matches_xbar_squared(traj):
     """Fraction of rounds taking the first edge integrates xbar^2."""
     n, t_end = 200000, 1.0
     sim = Simulation(ProcessKind.BOUNDED_SIZE, n, seed=9)
     sim.advance_to(int(n * t_end / 2))
     ts = np.linspace(0.0, t_end, 401)
-    xs = np.array([raw_traj.xbar(float(s)) for s in ts])
+    xs = np.array([traj.xbar(float(s)) for s in ts])
     want = simpson(xs**2, x=ts) / t_end
     got = sim.e1_rounds / sim.m
     assert got == pytest.approx(want, rel=0.05)
