@@ -4,7 +4,8 @@ For each of bf, er-wr, er and product from the empty graph, and
 er-poisson from half of the vertices in pairs (as the `giant` experiment
 starts), at n = 1e5, 2e5, 1e6 and 2e6 to t = 1.3, one fresh interpreter
 advances a batch-engine Simulation with 1 and with 50 evenly spaced
-record points and reports:
+record points, and so does one 1-point run each of bf, er-wr and er at
+n = 2e7, and reports:
 
 - init_s, the wall time of constructing the Simulation;
 - advance_s, fold_s and snapshot_s, the wall time summed over all calls:
@@ -50,6 +51,9 @@ from pathlib import Path
 CASES = (("bf", ""), ("er-wr", ""), ("er", ""), ("product", ""), ("er-poisson", "pairs"))
 SIZES = (100_000, 200_000, 1_000_000, 2_000_000)
 POINTS = (1, 50)
+# (process, initial graph, n, points) run after the grid above
+LARGE_CASES = (("bf", "", 20_000_000, 1), ("er-wr", "", 20_000_000, 1),
+               ("er", "", 20_000_000, 1))
 T_END = 1.3
 SEED = 1
 ROOT = Path(__file__).resolve().parents[1]
@@ -184,13 +188,13 @@ def main() -> None:
     if not args.label or not args.out:
         ap.error("--label and --out are required")
     src = args.src.resolve()
+    grid = [(kind, initial, n, points) for kind, initial in CASES for n in SIZES
+            for points in POINTS]
     cases = []
-    for kind, initial in CASES:
-        for n in SIZES:
-            for points in POINTS:
-                case = run_child(src, "--case", kind, initial, str(n), str(points))
-                print(json.dumps(case), file=sys.stderr)
-                cases.append(case)
+    for kind, initial, n, points in grid + list(LARGE_CASES):
+        case = run_child(src, "--case", kind, initial, str(n), str(points))
+        print(json.dumps(case), file=sys.stderr)
+        cases.append(case)
     solved = run_child(src, "--solvers")
     cold = {}
     for name, cmd in COLD_STARTS:

@@ -18,8 +18,6 @@ from .giant import (
     FixedPointResult,
     SupercriticalBounds,
     bf_growth_prediction,
-    rho_lower_bound,
-    rho_upper_bound,
     solve_rho,
     supercritical_bounds,
 )
@@ -29,7 +27,6 @@ from .ledger import (
     MomentLedger,
     SizeDistribution,
     add_edge,
-    brute_force_moments,
     delta_k,
     ledger_init,
     snapshot_distribution,

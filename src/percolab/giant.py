@@ -20,8 +20,6 @@ __all__ = [
     "FixedPointResult",
     "SupercriticalBounds",
     "solve_rho",
-    "rho_lower_bound",
-    "rho_upper_bound",
     "supercritical_bounds",
     "bf_growth_prediction",
 ]
@@ -105,31 +103,6 @@ def solve_rho(dist: SizeDistribution, t: float, tol: float = 1.0e-10) -> FixedPo
     return FixedPointResult(
         rho=rho, iterations=iterations, bracket_width=hi - lo, regime=REGIME_SUPER
     )
-
-
-def rho_lower_bound(ey: float, ey2: float) -> float:
-    """Strict lower bound 2(EY - 1)/EY^2 on the survival fraction,
-    where Y = tZ."""
-    if ey <= 1.0:
-        raise InvalidConfigError("lower bound needs E Y > 1")
-    return 2.0 * (ey - 1.0) / ey2
-
-
-def rho_upper_bound(ey: float, ey2: float, ey3: float) -> tuple[float, bool]:
-    """Quadratic-root upper bound, valid when 8(EY-1)EY^3 <= 3(EY^2)^2.
-
-    Returns (bound, valid); bound is NaN when the condition fails.
-    """
-    if ey <= 1.0:
-        raise InvalidConfigError("upper bound needs E Y > 1")
-    if 8.0 * (ey - 1.0) * ey3 > 3.0 * ey2 * ey2:
-        return math.nan, False
-    disc = 9.0 * ey2 * ey2 - 24.0 * (ey - 1.0) * ey3
-    bound = (3.0 * ey2 - math.sqrt(disc)) / (2.0 * ey3)
-    weakened = (2.0 * (ey - 1.0) / ey2) * (1.0 + 8.0 * (ey - 1.0) * ey3 / (3.0 * ey2 * ey2))
-    if bound > weakened * (1.0 + 1.0e-12):
-        raise AssertionError("quadratic bound exceeded its weakened form")
-    return bound, True
 
 
 @dataclass(frozen=True)

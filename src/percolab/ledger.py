@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .errors import InvalidConfigError
 
@@ -19,12 +19,10 @@ __all__ = [
     "DisjointSetForest",
     "MomentLedger",
     "SizeDistribution",
-    "BruteMoments",
     "ledger_init",
     "delta_k",
     "add_edge",
     "snapshot_distribution",
-    "brute_force_moments",
 ]
 
 
@@ -192,56 +190,3 @@ class SizeDistribution:
 def snapshot_distribution(forest: DisjointSetForest) -> SizeDistribution:
     """O(n) scan producing the exact component-size histogram."""
     return SizeDistribution.from_sizes(forest.comp_size[r] for r in forest.roots())
-
-
-class BruteMoments(NamedTuple):
-    s1: int
-    s2: int
-    s3: int
-    s4: int
-    c1: int
-    c2: int
-    n1: int
-
-
-def brute_force_moments(edge_list: Iterable[tuple[int, int]], n: int) -> BruteMoments:
-    """Ground truth by fresh traversal, independent of the union-find path.
-
-    Builds adjacency from scratch and labels components by BFS, then
-    takes direct power sums. Quadratic-ish and meant for n in the
-    hundreds; it exists to differentially test the ledger.
-    """
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edge_list:
-        if u == v:
-            continue
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = bytearray(n)
-    sizes: list[int] = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        seen[start] = 1
-        stack = [start]
-        count = 0
-        while stack:
-            x = stack.pop()
-            count += 1
-            for y in adj[x]:
-                if not seen[y]:
-                    seen[y] = 1
-                    stack.append(y)
-        sizes.append(count)
-    sizes.sort(reverse=True)
-    c1 = sizes[0]
-    c2 = sizes[1] if len(sizes) > 1 else 0
-    return BruteMoments(
-        s1=sum(sizes),
-        s2=sum(s * s for s in sizes),
-        s3=sum(s**3 for s in sizes),
-        s4=sum(s**4 for s in sizes),
-        c1=c1,
-        c2=c2,
-        n1=sum(1 for s in sizes if s == 1),
-    )

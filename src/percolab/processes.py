@@ -3,14 +3,16 @@
 A Simulation owns one seeded generator and one process rule. Randomness
 comes in fixed-size chunks of CHUNK uniform vertex proposals, and both
 engines consume the identical stream, so traces match exactly across
-engines for a given seed. A chunk is drawn PIECE rows at a time, as the
-rows are needed; consecutive draws give the values, and leave the
-generator in the state, of one draw of the whole chunk. The generator
-reaches a chunk's end when the chunk is spent, when the rows change shape
-(a two-choice rule's quadruples against the pairs of a continuation),
-which drops the rest of the chunk, and when `Simulation.rng` is read for
-another draw (a Poisson count): that draws the rest of the chunk first
-and queues it for the proposals that follow.
+engines for a given seed. The scalar reference draws each chunk whole, as
+int64 rows, which is the stream the golden results were made from. The
+batch engine draws a chunk PIECE rows at a time, as the rows are needed;
+consecutive draws give the values, and leave the generator in the state,
+of one draw of the whole chunk. The generator reaches a chunk's end when
+the chunk is spent, when the rows change shape (a two-choice rule's
+quadruples against the pairs of a continuation), which drops the rest of
+the chunk, and when `Simulation.rng` is read for another draw (a Poisson
+count): the batch engine then draws the rest of the chunk first and
+queues it for the proposals that follow.
 
 engine='python' is the scalar reference: it walks the rows one by one
 through a union-find forest with an exact moment ledger. engine='auto'
@@ -320,17 +322,23 @@ class Simulation:
     def rng(self) -> np.random.Generator:
         """The generator, with the current chunk drawn to its end, so that a
         draw on it (a Poisson count) comes where it came when a chunk was
-        drawn whole. The rest of the chunk is queued for the proposals that
-        follow."""
+        drawn whole. The batch engine queues the rest of the chunk for the
+        proposals that follow; the scalar reference, which draws whole
+        chunks, has none left to draw."""
         while self._undrawn:
             self._ahead.append(self._piece())
         return self._rng
 
     def _piece(self) -> np.ndarray:
-        """Draw the next piece of the current chunk, at most PIECE rows."""
-        rows = min(self._undrawn, PIECE)
-        self._undrawn -= rows
-        return _draw(self._rng, self.n, rows, self._cols)
+        """Draw the next piece of the current chunk: at most PIECE rows for
+        the batch engine, and for the scalar reference the whole chunk as
+        int64 rows, the draw the golden results were made with."""
+        if self._batch:
+            rows = min(self._undrawn, PIECE)
+            self._undrawn -= rows
+            return _draw(self._rng, self.n, rows, self._cols)
+        rows, self._undrawn = self._undrawn, 0
+        return self._rng.integers(0, self.n, size=(rows, self._cols), dtype=np.int64)
 
     def _refill(self, cols: int) -> None:
         if self._pos < len(self._buf) and self._buf.shape[1] == cols:

@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import child_env
+from conftest import brute_force_moments, child_env, rho_lower_bound, rho_upper_bound
 
 import percolab
 from percolab import (
@@ -199,7 +199,7 @@ def test_07_ledger_equals_brute_force_on_random_sequences():
         forest, led = percolab.ledger_init(n)
         for i, (u, v) in enumerate(edges):
             percolab.add_edge(forest, led, u, v)
-            want = percolab.brute_force_moments(edges[: i + 1], n)
+            want = brute_force_moments(edges[: i + 1], n)
             checked += 1
             if (
                 led.s_sums != [want.s1, want.s2, want.s3, want.s4]
@@ -229,9 +229,9 @@ def test_08_bounds_sandwich_fixed_point():
         t = (1.0 + float(rng.uniform(0.02, 2.0))) / s2
         rho = solve_rho(dist, t).rho
         ey, ey2, ey3 = t * s2, t**2 * s3, t**3 * s4
-        if percolab.rho_lower_bound(ey, ey2) >= rho:
+        if rho_lower_bound(ey, ey2) >= rho:
             violations += 1
-        upper, valid = percolab.rho_upper_bound(ey, ey2, ey3)
+        upper, valid = rho_upper_bound(ey, ey2, ey3)
         if valid and rho >= upper:
             violations += 1
         b = supercritical_bounds(s2, s3, s4, t)

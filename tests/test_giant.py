@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from conftest import rho_lower_bound, rho_upper_bound
 from hypothesis import given, strategies as st
 
 from percolab import (
@@ -11,8 +12,6 @@ from percolab import (
     SizeDistribution,
     bf_growth_prediction,
     find_tc,
-    rho_lower_bound,
-    rho_upper_bound,
     solve_rho,
     supercritical_bounds,
 )

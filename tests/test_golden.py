@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from percolab.harness import ExperimentConfig, run_experiment, write_csv
+from percolab.harness import ExperimentConfig, run_experiment, write_csv, write_meta
 from percolab.processes import CHUNK
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "harness_golden"
@@ -50,11 +50,16 @@ def test_small_experiment_matches_golden_csv(name, tmp_path):
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_committed_sidecar_records_the_shipped_config(name):
+def test_committed_sidecar_records_the_shipped_config(name, tmp_path):
+    """The sidecar of a committed result names the library versions that
+    write_meta records now, and no others."""
     meta = json.loads((SCRIPTS / "results" / f"{name}.csv.meta.json").read_text())
     cfg = ExperimentConfig.from_json(str(SCRIPTS / "configs" / f"{name}.json"))
     assert meta["config"] == cfg.to_dict()
     assert "numba" not in meta["versions"]
+    write_meta(str(tmp_path / "out.csv"), cfg, 0.0, [])
+    written = json.loads((tmp_path / "out.csv.meta.json").read_text())
+    assert meta["versions"].keys() == written["versions"].keys()
     assert meta["checks"] and all(c["passed"] for c in meta["checks"])
 
 

@@ -16,6 +16,7 @@ import pytest
 from conftest import child_env
 
 from percolab import InvalidConfigError, ProcessKind, SizeDistribution
+from percolab.cli import main
 from percolab.harness import (
     CSV_COLUMNS,
     EXPERIMENTS,
@@ -33,12 +34,21 @@ HEADER = "experiment,run_id,seed,n,process,t,delta,observable,value,prediction,p
 
 
 def cli(*args, timeout=600, preexec_fn=None):
+    """Run `python -m percolab` in a child interpreter."""
     proc = subprocess.run(
         [sys.executable, "-m", "percolab", *args],
         capture_output=True, text=True, timeout=timeout, env=child_env(),
         preexec_fn=preexec_fn,
     )
     return proc
+
+
+def run_cli(capsys, *args):
+    """Run the command line in this process: its exit code and what it
+    printed, in the shape `cli` returns."""
+    code = main(list(args))
+    out = capsys.readouterr()
+    return subprocess.CompletedProcess(args, code, out.out, out.err)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +168,7 @@ def test_config_rejects_removed_keys_as_unknown(experiment, key, value):
 
 
 @pytest.mark.parametrize("n,replicates", [(1000, 10**12), (10, 10**9)])
-def test_config_rejects_more_replicates_than_a_block_can_hold(n, replicates, tmp_path):
+def test_config_rejects_more_replicates_than_a_block_can_hold(n, replicates, tmp_path, capsys):
     """A block builds every replicate's seed and spec at once, so a huge
     count would run out of memory only after a long allocation; it is
     refused at once, and the largest count allowed still validates."""
@@ -172,7 +182,7 @@ def test_config_rejects_more_replicates_than_a_block_can_hold(n, replicates, tmp
     ExperimentConfig.from_dict({**cfg, "replicates": MAX_REPLICATES})
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({**cfg, "out": str(tmp_path / "m.csv")}))
-    proc = cli("experiment", "--config", str(p), timeout=60)
+    proc = run_cli(capsys, "experiment", "--config", str(p))
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: replicates must lie in")
     assert not (tmp_path / "m.csv").exists()
@@ -367,6 +377,7 @@ def test_distribution_csv_rejects_bad_rows(tmp_path):
 # command line contract
 
 def test_cli_ode_runs_clean():
+    """The `python -m percolab` entry point, in a child interpreter."""
     proc = cli("ode", "--tol", "1e-6")
     assert proc.returncode == 0
     assert "tc=" in proc.stdout
@@ -374,9 +385,11 @@ def test_cli_ode_runs_clean():
 
 
 def test_cli_usage_errors_exit_2():
-    assert cli("simulate", "--process", "warp", "--n", "10",
-               "--t", "1", "--seed", "1").returncode == 2
-    assert cli("bogus-subcommand").returncode == 2
+    for args in (["simulate", "--process", "warp", "--n", "10", "--t", "1", "--seed", "1"],
+                 ["bogus-subcommand"]):
+        with pytest.raises(SystemExit) as exit_:
+            main(args)
+        assert exit_.value.code == 2
 
 
 @pytest.mark.parametrize("args", [
@@ -444,9 +457,11 @@ def test_cli_started_without_stdout_succeeds_silently():
     assert (proc.returncode, proc.stderr) == (0, "")
 
 
-def test_cli_simulate_rejects_numba_engine_and_er_beyond_complete_graph():
-    assert cli("simulate", "--process", "bf", "--n", "10", "--t", "1",
-               "--seed", "1", "--engine", "numba").returncode == 2
+def test_cli_simulate_rejects_numba_engine_and_er_beyond_complete_graph(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["simulate", "--process", "bf", "--n", "10", "--t", "1", "--seed", "1",
+              "--engine", "numba"])
+    assert exit_.value.code == 2
     # a two-choice round counts as one attempt, loop or not; there is no other mode
     proc = cli("simulate", "--process", "bf", "--n", "10", "--t", "1", "--seed", "1",
                "--no-loops")
@@ -454,15 +469,16 @@ def test_cli_simulate_rejects_numba_engine_and_er_beyond_complete_graph():
     assert "unrecognized arguments: --no-loops" in proc.stderr
     assert "Traceback" not in proc.stderr
     # n=5 at t=5 asks for 12 distinct edges; the complete graph has 10
-    proc = cli("simulate", "--process", "er", "--n", "5", "--t", "5", "--seed", "1")
+    proc = run_cli(capsys, "simulate", "--process", "er", "--n", "5", "--t", "5", "--seed", "1")
     assert proc.returncode == 2
     assert "error:" in proc.stderr
 
 
-def test_cli_product_engines_print_identical_traces():
+def test_cli_product_engines_print_identical_traces(capsys):
     args = ("simulate", "--process", "product", "--n", "3000", "--t", "1.2",
             "--seed", "4", "--initial", "3:50,2:100", "--record", "0.3,0.9,1.2")
-    auto, scalar = cli(*args, "--engine", "auto"), cli(*args, "--engine", "python")
+    auto = run_cli(capsys, *args, "--engine", "auto")
+    scalar = run_cli(capsys, *args, "--engine", "python")
     assert auto.returncode == scalar.returncode == 0
     assert auto.stdout == scalar.stdout
     assert len(auto.stdout.splitlines()) == 4
@@ -475,8 +491,8 @@ def test_cli_product_engines_print_identical_traces():
     ("--process", "product", "--t", "1", "--seed", "-1"),
     ("--process", "er-poisson", "--t", "1e300", "--seed", "1"),
 ])
-def test_cli_simulate_rejects_non_finite_times_negative_seeds_and_huge_means(args):
-    proc = cli("simulate", "--n", "100", *args)
+def test_cli_simulate_rejects_non_finite_times_negative_seeds_and_huge_means(args, capsys):
+    proc = run_cli(capsys, "simulate", "--n", "100", *args)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error:")
 
@@ -494,15 +510,15 @@ def test_cli_simulate_rejects_more_attempts_than_a_run_may_make(args):
 
 
 @pytest.mark.parametrize("t", ["inf", "nan"])
-def test_cli_fixed_point_rejects_non_finite_density(tmp_path, t):
+def test_cli_fixed_point_rejects_non_finite_density(tmp_path, t, capsys):
     p = tmp_path / "dist.csv"
     p.write_text("size,count\n1,500000\n2,250000\n")
-    proc = cli("fixed-point", "--dist", str(p), "--t", t)
+    proc = run_cli(capsys, "fixed-point", "--dist", str(p), "--t", t)
     assert proc.returncode == 2
     assert proc.stdout == ""
 
 
-def test_cli_experiment_creates_output_directory(tmp_path):
+def test_cli_experiment_creates_output_directory(tmp_path, capsys, monkeypatch):
     cfg = {
         "experiment": "constants",
         "n": 100,
@@ -511,23 +527,21 @@ def test_cli_experiment_creates_output_directory(tmp_path):
     }
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(cfg))
-    proc = subprocess.run(
-        [sys.executable, "-m", "percolab", "experiment", "--config", str(p)],
-        capture_output=True, text=True, timeout=600, cwd=tmp_path,
-        env=child_env(),
-    )
+    monkeypatch.chdir(tmp_path)
+    proc = run_cli(capsys, "experiment", "--config", str(p))
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "results" / "constants.csv").read_text().startswith(HEADER)
 
 
-def test_cli_bad_config_exits_2(tmp_path):
+def test_cli_bad_config_exits_2(tmp_path, capsys):
     p = tmp_path / "cfg.json"
     p.write_text('{"experiment": "moments", "n": 1000, "t_grid": [0.5], "frobnicate": 1}')
-    proc = cli("experiment", "--config", str(p))
+    proc = run_cli(capsys, "experiment", "--config", str(p))
     assert proc.returncode == 2
-    assert cli("experiment", "--config", str(tmp_path / "missing.json")).returncode == 2
+    missing = run_cli(capsys, "experiment", "--config", str(tmp_path / "missing.json"))
+    assert missing.returncode == 2
     p.write_text('{"experiment": "moments", "n": 1000.5, "t_grid": [0.5]}')
-    proc = cli("experiment", "--config", str(p))
+    proc = run_cli(capsys, "experiment", "--config", str(p))
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: n must be an integer")
 
@@ -547,16 +561,13 @@ def test_cli_experiment_config_errors_go_to_stderr(tmp_path):
     assert not out.exists()
 
 
-def test_cli_failed_experiment_leaves_no_output_directory(tmp_path):
+def test_cli_failed_experiment_leaves_no_output_directory(tmp_path, capsys, monkeypatch):
     """The missing parents of `out` are made only once the run succeeded."""
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"experiment": "moments", "n": 1000, "t_grid": [1.2],
                              "out": "newdir/m.csv"}))
-    proc = subprocess.run(
-        [sys.executable, "-m", "percolab", "experiment", "--config", str(p)],
-        capture_output=True, text=True, timeout=600, cwd=tmp_path,
-        env=child_env(),
-    )
+    monkeypatch.chdir(tmp_path)
+    proc = run_cli(capsys, "experiment", "--config", str(p))
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: t_grid must stay below tc - 0.05")
     assert not (tmp_path / "newdir").exists()
@@ -607,29 +618,29 @@ def test_output_under_a_regular_file_is_refused_before_the_run(tmp_path):
     run.assert_not_called()
 
 
-def test_cli_numerical_failure_exits_3(tmp_path):
+def test_cli_numerical_failure_exits_3(tmp_path, capsys):
     p = tmp_path / "dist.csv"
     p.write_text("size,count\n1,500000\n2,250000\n")
-    proc = cli("fixed-point", "--dist", str(p), "--t", "0.7166666667",
-               "--tol", "1e-300")
+    proc = run_cli(capsys, "fixed-point", "--dist", str(p), "--t", "0.7166666667",
+                   "--tol", "1e-300")
     assert proc.returncode == 3
 
 
-def test_cli_check_violation_exits_4(tmp_path):
+def test_cli_check_violation_exits_4(tmp_path, capsys):
     cfg = {
         "experiment": "moments", "n": 200, "replicates": 2, "seed": 1,
         "t_grid": [1.0], "out": str(tmp_path / "m.csv"),
     }
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(cfg))
-    proc = cli("experiment", "--config", str(p), "--check")
+    proc = run_cli(capsys, "experiment", "--config", str(p), "--check")
     assert proc.returncode == 4
     assert "[FAIL]" in proc.stdout
 
 
-def test_cli_simulate_prints_trace_csv():
-    proc = cli("simulate", "--process", "bf", "--n", "5000", "--t", "1.0",
-               "--seed", "5", "--record", "0.5,1.0")
+def test_cli_simulate_prints_trace_csv(capsys):
+    proc = run_cli(capsys, "simulate", "--process", "bf", "--n", "5000", "--t", "1.0",
+                   "--seed", "5", "--record", "0.5,1.0")
     assert proc.returncode == 0
     lines = proc.stdout.strip().splitlines()
     assert lines[0] == "t,m,s2,s3,s4,c1_frac,c2_frac,x1"
@@ -647,9 +658,9 @@ ODE_CSV_AT_TOL_1E_6 = (
 )
 
 
-def test_cli_ode_writes_the_constants_csv(tmp_path):
+def test_cli_ode_writes_the_constants_csv(tmp_path, capsys):
     path = tmp_path / "ode.csv"
-    proc = cli("ode", "--tol", "1e-6", "--csv", str(path))
+    proc = run_cli(capsys, "ode", "--tol", "1e-6", "--csv", str(path))
     assert proc.returncode == 0, proc.stderr
     assert path.read_text() == ODE_CSV_AT_TOL_1E_6
     # stdout prints the same cells, one key=value line each
@@ -659,12 +670,10 @@ def test_cli_ode_writes_the_constants_csv(tmp_path):
 
 
 def test_cli_ode_failed_csv_write_keeps_the_old_file(tmp_path, capsys):
-    from percolab import cli as percolab_cli
-
     path = tmp_path / "ode.csv"
     path.write_bytes(b"old,constants\n1,2\n")
     with mock.patch.object(os, "replace", side_effect=OSError("disk full")):
-        code = percolab_cli.main(["ode", "--tol", "1e-6", "--csv", str(path)])
+        code = main(["ode", "--tol", "1e-6", "--csv", str(path)])
     assert code == 2
     assert "error: cannot write" in capsys.readouterr().err
     assert path.read_bytes() == b"old,constants\n1,2\n"
@@ -684,10 +693,10 @@ def test_cli_fixed_point_refuses_a_size_whose_s4_overflows_a_float(tmp_path, exp
         assert proc.stderr == f"error: {p}: s4 = S4/S1 is not a finite float\n"
 
 
-def test_cli_fixed_point_reports_bounds(tmp_path):
+def test_cli_fixed_point_reports_bounds(tmp_path, capsys):
     p = tmp_path / "dist.csv"
     p.write_text("size,count\n1,500000\n2,250000\n")
-    proc = cli("fixed-point", "--dist", str(p), "--t", str(1 / 1.5 + 0.05))
+    proc = run_cli(capsys, "fixed-point", "--dist", str(p), "--t", str(1 / 1.5 + 0.05))
     assert proc.returncode == 0
     out = dict(line.split("=", 1) for line in proc.stdout.strip().splitlines())
     assert float(out["rho"]) == pytest.approx(0.123070604, abs=1e-6)

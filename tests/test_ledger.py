@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from conftest import brute_force_moments
 from hypothesis import given, strategies as st
 
 from percolab import (
@@ -10,7 +11,6 @@ from percolab import (
     MomentLedger,
     SizeDistribution,
     add_edge,
-    brute_force_moments,
     delta_k,
     ledger_init,
     snapshot_distribution,

@@ -3,6 +3,7 @@ rows, limits."""
 
 import math
 import tracemalloc
+from functools import partial
 from pathlib import Path
 from unittest import mock
 
@@ -11,8 +12,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import simpson
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from percolab import (
     InitialGraphSpec,
@@ -22,10 +21,8 @@ from percolab import (
     poisson_edge_count,
     run_process,
 )
-from percolab import processes
+from percolab import harness, processes
 from percolab.harness import ExperimentConfig, ResultRow, RunSpec, run_experiment, stop_restart
-from percolab.ledger import SizeDistribution
-from percolab.processes import Snapshot
 
 ALL_KINDS = list(ProcessKind)
 # the snapshot with its own checks only, without the recount of the forest
@@ -94,6 +91,21 @@ def test_engine_parity_from_the_initial_forest(kind):
     assert batch == run_process(kind, engine="python", **kwargs)
 
 
+def stream_offset(sim):
+    """The rows of the current chunk read so far: CHUNK less the rows not
+    drawn yet, the rows queued by `rng` and the rows of the buffer not read.
+    The batch engine holds a chunk in pieces and the scalar reference holds
+    it whole, so this, not the position in the buffer, is what both share."""
+    queued = sum(len(piece) for piece in sim._ahead)
+    return processes.CHUNK - sim._undrawn - queued - (len(sim._buf) - sim._pos)
+
+
+def rows_read(sim, rows):
+    """The hand-made rows a simulation read; they stand in for the last rows
+    of a chunk."""
+    return stream_offset(sim) - (processes.CHUNK - len(rows))
+
+
 # ---------------------------------------------------------------------------
 # rule semantics on scripted rows, on both engines
 
@@ -109,7 +121,7 @@ def play_rows(kind, rows, rounds, n=12, initial="4:2", one_by_one=False):
         for m in range(1, rounds + 1) if one_by_one else (rounds,):
             sim.advance_to(m)
         snap = sim.snapshot()
-        out.append((snap.dist.counts, snap.dist.n1, sim.m, sim.e1_rounds, sim._pos))
+        out.append((snap.dist.counts, snap.dist.n1, sim.m, sim.e1_rounds, rows_read(sim, rows)))
     assert out[0] == out[1]
     return out[0]
 
@@ -221,7 +233,8 @@ def test_poisson_edge_count_moments():
 def stream_trace(kind, n, initial="", seed=0, engine="auto", schedule=(), extra=0):
     """Everything a Simulation exposes after a schedule of advances and
     snapshots, then an optional continuation: the snapshots, the
-    first-edge count, both clocks and the generator state."""
+    first-edge count, both clocks, the stream offset and the generator
+    state."""
     sim = Simulation(ProcessKind.from_token(kind), n, initial=initial, seed=seed,
                      engine=engine)
     snaps = []
@@ -231,7 +244,7 @@ def stream_trace(kind, n, initial="", seed=0, engine="auto", schedule=(), extra=
     if extra:
         sim.add_er_edges(extra)
         snaps.append(sim.snapshot())
-    return (snaps, sim.e1_rounds, sim.m, sim.extra_attempts, sim._pos,
+    return (snaps, sim.e1_rounds, sim.m, sim.extra_attempts, stream_offset(sim),
             sim.rng.bit_generator.state)
 
 
@@ -304,10 +317,10 @@ def test_engine_parity_across_a_chunk_boundary():
         assert trace == stream_trace(engine="python", **sched)
         if kind == "er-wr":
             # main and continuation read one stream of pairs, so the rows read,
-            # chunk + pos, exceed the chunk + 2500 attempts by the loops skipped
-            _, _, m, extra, pos, _ = trace
+            # chunk + offset, exceed the chunk + 2500 attempts by the loops skipped
+            _, _, m, extra, offset, _ = trace
             assert (m, extra) == (chunk + 500, 2000)
-            assert pos > 2500
+            assert offset > 2500
 
 
 def test_bf_batch_parity_when_blocks_are_cut_every_round():
@@ -324,7 +337,7 @@ def test_bf_batch_parity_when_blocks_are_cut_every_round():
         sim._buf = np.array(rows, dtype=np.int64)  # stands in for the drawn chunk
         sim.advance_to(len(rows))
         sims.append(sim)
-    batch, scalar = ((s.snapshot(), s.e1_rounds, s._pos) for s in sims)
+    batch, scalar = ((s.snapshot(), s.e1_rounds, rows_read(s, rows)) for s in sims)
     assert batch == scalar
     assert batch[1] == 1  # only round 0 took its first edge
     assert sims[0].blocks == len(rows)
@@ -346,7 +359,7 @@ def test_product_batch_parity_on_hand_made_rows():
         sim = Simulation(ProcessKind.PRODUCT_RULE, 10, engine=engine)
         sim._buf = np.array(rows, dtype=np.int64)  # stands in for the drawn chunk
         sim.advance_to(len(rows))
-        sims.append((sim.snapshot(), sim.e1_rounds, sim._pos))
+        sims.append((sim.snapshot(), sim.e1_rounds, rows_read(sim, rows)))
     assert sims[0] == sims[1]
     snap, e1, pos = sims[0]
     assert pos == len(rows)
@@ -393,7 +406,7 @@ def test_product_giant_root_survives_folds_of_every_size():
 
 def product_on_rows(rows, n, initial):
     """Play hand-made rows (they stand in for the drawn chunk) on both engines,
-    with every row in one product block; returns (snapshot, e1_rounds, _pos)
+    with every row in one product block; returns (snapshot, e1_rounds, rows read)
     per engine and the batch simulation."""
     out = []
     for engine in ("auto", "python"):
@@ -401,7 +414,7 @@ def product_on_rows(rows, n, initial):
             sim = Simulation(ProcessKind.PRODUCT_RULE, n, initial=initial, engine=engine)
         sim._buf = np.array(rows, dtype=np.int64)
         sim.advance_to(len(rows))
-        out.append((sim.snapshot(), sim.e1_rounds, sim._pos))
+        out.append((sim.snapshot(), sim.e1_rounds, rows_read(sim, rows)))
         if engine == "auto":
             batch = sim
     return out, batch
@@ -448,7 +461,7 @@ def test_product_chain_applies_one_round_per_pass():
             assert sim.blocks == 1
         else:
             sim.advance_to(len(rows))
-        out.append((sim.snapshot(), sim.e1_rounds, sim._pos))
+        out.append((sim.snapshot(), sim.e1_rounds, rows_read(sim, rows)))
     assert out[0] == out[1]
     snap, e1, pos = out[0]
     assert (e1, pos, snap.dist.counts) == (3, len(rows), {1: 23, 7: 1})
@@ -671,11 +684,10 @@ def piece_trace(kind, engine):
     """stream_trace's schedule, then a run with a Poisson count drawn on the
     generator mid-chunk, a continuation of that many edges and rule rounds
     after it. Returns what both observe (snapshots, first-edge counts,
-    clocks, generator states) and, apart, the rows each read of its
-    current piece."""
+    clocks, generator states) and, apart, the stream offset of each."""
     sched = dict(kind=kind, n=2000, initial="3:5,2:10", seed=19, schedule=(300, 900, 1400),
                  extra=400)
-    *trace, pos, state = stream_trace(engine=engine, **sched)
+    *trace, offset, state = stream_trace(engine=engine, **sched)
     sim = Simulation(ProcessKind.from_token(kind), 2000, initial="3:5,2:10", seed=19,
                      engine=engine)
     sim.advance_to(710)
@@ -687,7 +699,7 @@ def piece_trace(kind, engine):
     snaps.append(sim.snapshot())
     seen = (trace, state, snaps, sim.e1_rounds, sim.m, sim.extra_attempts,
             sim.rng.bit_generator.state)
-    return seen, (pos, sim._pos)
+    return seen, (offset, stream_offset(sim))
 
 
 @pytest.mark.parametrize("piece, chunk", [(1, 1000), (7, 1000), (64, 1000), (processes.PIECE, 100)])
@@ -707,81 +719,14 @@ def test_engine_parity_across_piece_boundaries(kind, piece, chunk):
     assert batch[0] == whole
 
 
-class WholeChunkReplay:
-    """The proposal stream replayed apart from the engine, as the golden
-    results were made: whole CHUNK draws of int64 rows, a new chunk when one
-    is spent or the row shape changes, and a Poisson count drawn on the
-    generator between chunk draws. Rules are played row by row, from the
-    paths of an initial graph, and the components counted by scipy."""
-
-    def __init__(self, n, seed, initial=""):
-        self.n = n
-        self.rng = np.random.default_rng(seed)
-        self.rows, self.pos, self.cols = [], 0, 0
-        self.iso = bytearray([1]) * n
-        self.edges = []
-        for u, v in InitialGraphSpec.parse(initial).path_edges():
-            self.join(u, v)
-        self.pairs = set(self.edges)  # er's pairs present, as (lower, upper)
-
-    def row(self, cols):
-        if self.pos == len(self.rows) or cols != self.cols:
-            chunk = self.rng.integers(0, self.n, size=(processes.CHUNK, cols), dtype=np.int64)
-            self.rows, self.pos, self.cols = chunk.tolist(), 0, cols
-        self.pos += 1
-        return self.rows[self.pos - 1]
-
-    def join(self, u, v):
-        if u != v:
-            self.iso[u] = self.iso[v] = 0
-            self.edges.append((u, v))
-
-    def uniform(self, count):
-        """count with-replacement edges; a loop row is skipped uncounted."""
-        while count:
-            u, v = self.row(2)
-            if u != v:
-                self.join(u, v)
-                count -= 1
-
-    def er(self, count):
-        """count er edges; a loop row or a pair present is skipped uncounted."""
-        while count:
-            u, v = self.row(2)
-            pair = (min(u, v), max(u, v))
-            if u != v and pair not in self.pairs:
-                self.pairs.add(pair)
-                self.join(u, v)
-                count -= 1
-
-    def bf(self, rounds):
-        for _ in range(rounds):
-            v1, w1, v2, w2 = self.row(4)
-            if self.iso[v1] and self.iso[w1]:
-                self.join(v1, w1)
-            else:
-                self.join(v2, w2)
-
-    def snapshot(self, m):
-        u, v = np.array(self.edges, dtype=np.int64).reshape(-1, 2).T
-        graph = coo_matrix((np.ones(len(u)), (u, v)), shape=(self.n, self.n))
-        _, labels = connected_components(graph, directed=False)
-        return Snapshot(m, SizeDistribution.from_sizes(np.bincount(labels).tolist()))
-
-
 def test_mid_chunk_poisson_counts_keep_the_whole_chunk_stream():
     """At n = 2e5 each record's Poisson count is drawn tens of thousands of
-    rows into a chunk: the generator must have drawn the whole chunk before
-    it, and the proposals after it must read on in that chunk."""
-    n, grid = 200_000, (0.1, 0.5, 1.0, 1.3)
-    replay, want, m, prev_t = WholeChunkReplay(n, 5), [], 0, 0.0
-    for t in grid:
-        count = poisson_edge_count(t - prev_t, n, replay.rng)
-        replay.uniform(count)
-        m += count
-        want.append(replay.snapshot(m).trace(t))
-        prev_t = t
-    assert run_process("er-poisson", n, t_end=1.3, record_at=grid, seed=5) == want
+    rows into a chunk: the batch engine must have drawn the whole chunk
+    before it, as the scalar reference does, and the proposals after it
+    must read on in that chunk."""
+    kwargs = dict(n=200_000, t_end=1.3, record_at=(0.1, 0.5, 1.0, 1.3), seed=5)
+    assert run_process("er-poisson", **kwargs) == run_process("er-poisson", engine="python",
+                                                              **kwargs)
 
 
 @pytest.mark.parametrize("initial", ["", "2:50000"])
@@ -790,14 +735,8 @@ def test_er_pieces_keep_the_whole_chunk_stream(initial):
     records in each; its pair lookups and key merges must see the rows of
     one whole-chunk draw, from the empty graph and from half of the vertices
     in pairs."""
-    n, grid = 200_000, (0.1, 0.5, 0.9)
-    replay, want, m = WholeChunkReplay(n, 6, initial), [], 0
-    for t in grid:
-        target = int(round(n * t / 2))
-        replay.er(target - m)
-        m = target
-        want.append(replay.snapshot(m).trace(2 * m / n))
-    assert run_process("er", n, initial=initial, t_end=0.9, record_at=grid, seed=6) == want
+    kwargs = dict(n=200_000, initial=initial, t_end=0.9, record_at=(0.1, 0.5, 0.9), seed=6)
+    assert run_process("er", **kwargs) == run_process("er", engine="python", **kwargs)
 
 
 @pytest.mark.parametrize("kind, t_end, continue_t",
@@ -809,14 +748,9 @@ def test_stop_restart_keeps_the_whole_chunk_stream(kind, t_end, continue_t):
     the same chunk, for more than 2^15 rows. A piece that er read twice
     would change none of its records, every pair in it being present the
     second time, but would change the rows this continuation reads."""
-    n = 200_000
-    replay = WholeChunkReplay(n, 3)
-    main = math.floor(n * t_end / 2)
-    {"bf": replay.bf, "er-wr": replay.uniform, "er": replay.er}[kind](main)
-    stopped = replay.snapshot(main).trace(2 * main / n)
-    replay.uniform(poisson_edge_count((1.0 - stopped.x1 * stopped.x1) * continue_t, n, replay.rng))
-    want = (stopped, replay.snapshot(main).dist.c1 / n)
-    spec = RunSpec(ProcessKind.from_token(kind), n, seed=3, t_end=t_end)
+    spec = RunSpec(ProcessKind.from_token(kind), 200_000, seed=3, t_end=t_end)
+    with mock.patch.object(harness, "Simulation", partial(Simulation, engine="python")):
+        want = stop_restart(spec, continue_t)
     assert stop_restart(spec, continue_t) == want
 
 
