@@ -175,9 +175,12 @@ class SizeDistribution:
                 s, c = int(row[0]), int(row[1])
             except (ValueError, IndexError) as exc:
                 raise InvalidConfigError(f"{path}: bad row {row!r}") from exc
+            # each row is checked before equal sizes are summed, so a negative
+            # count cannot cancel part of another row's
+            if s < 1 or c < 1:
+                raise InvalidConfigError(f"{path}: bad row {row!r}: sizes and counts must be >= 1")
             counts[s] = counts.get(s, 0) + c
         dist = cls(dict(sorted(counts.items())))
-        dist.validate()
         if not dist.counts:
             raise InvalidConfigError(f"{path}: empty distribution")
         try:

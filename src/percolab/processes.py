@@ -16,27 +16,32 @@ queues it for the proposals that follow.
 
 engine='python' is the scalar reference: it walks the rows one by one
 through a union-find forest with an exact moment ledger. engine='auto'
-decides whole slices of rows with numpy on one int64 union-find forest
-for every rule, whose roots hold the component sizes and whose other
-vertices hold size 0. The rows are drawn as int32 when every vertex fits,
-which numpy draws from the same stream as int64. An initial graph is
-written into the forest directly, each component a star on its first
-vertex, since only its vertex sets matter. The uniform rules and bf
-buffer the edges they insert and fold them into the forest once per
-snapshot or per CHUNK edges, at most FOLD edges at a time, in rounds of
-vectorized hooking and pointer jumping. er keeps the sorted keys of the
-pairs present; each slice of proposals is sorted once, its distinct keys
-are looked up in that array in sorted order, and the new ones are merged
-in. The two-choice rules decide speculative blocks of about sqrt(n) rows
-on the state at block start: bf on the isolation bitmap, and the product
-rule on exact component sizes. For the product rule each block takes as
+decides whole slices of rows with numpy on one union-find forest for
+every rule: int64 parents, and sizes that are int32 while n < 2**31, held
+at the roots, with 0 at the other vertices. The rows are drawn as int32
+when every vertex fits, which numpy draws from the same stream as int64.
+An initial graph is written into the forest directly, each component a
+star on its first vertex, since only its vertex sets matter. The uniform
+rules and bf buffer the edges they insert and fold them into the forest
+once per snapshot or per CHUNK edges, at most FOLD edges at a time, in
+rounds of vectorized hooking and pointer jumping that free their
+temporaries as they go. er keeps the sorted keys of the pairs present;
+each slice of proposals is sorted once, its distinct keys are looked up
+in that array in sorted order, and the new ones are merged in. The
+two-choice rules decide speculative blocks of about sqrt(n) rows on the
+state at block start: bf on the isolation bitmap, and the product rule
+on exact component sizes. For the product rule each block takes as
 its giant the largest component it reads; one vectorized pass applies
 every round of the block whose other components no earlier pending round
 reads and whose choice cannot change as that giant grows, merging
 straight into the forest through one hook, and repeats on the rounds
-left until none is. A snapshot is one bincount of the sizes, checked against the merge
-count, n and the isolation bitmap; check_forest recounts the roots from
-the parents, which run_process does after its last snapshot.
+left until none is; it widens the sizes it reads to int64 before it
+multiplies them. A snapshot bincounts the sizes FOLD vertices at a time,
+and checks the histogram against the merge count, n and the isolation
+bitmap; check_forest recounts the roots from the parents, FOLD vertices
+at a time too, which run_process does after its last snapshot. So the
+temporaries of a fold and a recount are bounded by FOLD whatever n is,
+and a snapshot's by FOLD and the second largest size.
 
 One run attempts at most MAX_ATTEMPTS insertions; asking for more
 raises InvalidConfigError, since no run of that length could finish.
@@ -73,7 +78,7 @@ __all__ = [
 
 CHUNK = 1 << 18  # proposal rows of one chunk of the stream
 PIECE = 1 << 15  # proposal rows drawn per generator call, a chunk's pieces in turn
-FOLD = 1 << 15  # buffered edges merged into the forest at a time
+FOLD = 1 << 15  # buffered edges merged, or vertices scanned, at a time
 PRODUCT_BLOCK: int | None = None  # rows per product block; None scales it with sqrt(n)
 MAX_ATTEMPTS = 1 << 32  # insertions one simulation may attempt, main and continuation each
 # er stores the keys u*n+v of its pairs and the sentinel n*n in int64
@@ -280,9 +285,12 @@ class Simulation:
         n = self.n
         # union-find forest: each vertex points towards the root of its
         # component, and `_size` holds the component size at each root and
-        # 0 elsewhere, so the sizes alone give the histogram
+        # 0 elsewhere, so the sizes alone give the histogram. The parents
+        # are int64, since numpy casts any other index array on each use,
+        # at every level of `_find`; the sizes are values, never indices,
+        # so they are int32 whenever n fits
         self._parent = np.arange(n, dtype=np.int64)
-        self._size = np.ones(n, dtype=np.int64)
+        self._size = np.ones(n, dtype=_size_dtype(n))
         self._iso = np.ones(n, dtype=bool)
         self._trees = n  # n minus the merges made, for the snapshot self-check
         self._pending: list[tuple[np.ndarray, np.ndarray]] = []  # edges not yet in the forest
@@ -521,15 +529,23 @@ class Simulation:
                 if not len(live):
                     break
                 a, b = a[live], b[live]
+            # the FOLD-sized temporaries are freed as soon as they are used,
+            # so fewer of them are live at the round's peak; but `shift`
+            # lives to the round's end, since freed before `mark` is made
+            # it took 1.6 to 3.7 times the minor page faults at n = 2e7
+            del live
             sa, sb = size[a], size[b]
             # a - b where a hooks under b, else 0 (cheaper than np.where)
             shift = (a - b) * ((sa < sb) | ((sa == sb) & (a < b)))
+            del sa, sb
             child, top = b + shift, a - shift
             mark = np.arange(-1, -1 - len(child), -1)
             parent[child] = mark
             won = np.flatnonzero(parent[child] == mark)
+            del mark
             child = child[won]
             top = top[won]
+            del won
             parent[child] = top
             # pointer jumping: only a child whose parent was hooked in this
             # round reads again, since the others already point at a root
@@ -619,7 +635,7 @@ class Simulation:
         return cut
 
     def _consume_product(self, need: int) -> int:
-        """One block of product-rule rounds on the int64 union-find.
+        """One block of product-rule rounds on the union-find.
 
         One vectorized pass repeats over `left`, the rounds of the block not
         yet applied, in row order (deterministic reservations). The first
@@ -639,6 +655,8 @@ class Simulation:
         applied rounds, so its lower end is the giant's true size: it is
         always exact, and the loop ends. The exact rounds are applied at
         once by one hook, whose children no other round of the pass reads.
+        The sizes read are widened to int64 first, since a product at
+        G = n passes 2**31 long before n does.
         """
         self._fold()  # initial and continuation edges change the sizes read
         rows = self._buf[self._pos:self._pos + min(need, self._block)].astype(np.int64)
@@ -662,7 +680,7 @@ class Simulation:
             roots = roots.reshape(-1, 4)
             giant = roots == big
             free = (fresh.reshape(-1, 4) | giant).all(axis=1)
-            sizes = size[roots]
+            sizes = size[roots].astype(np.int64)
             # rounds still in `left` have grown nothing, so the running sum
             # at a round is the growth from the applied rounds before it
             low = np.where(giant, g0 + np.cumsum(grow)[left, None], sizes)
@@ -700,12 +718,16 @@ class Simulation:
             # sizes are 0 off the roots, so their bincount past 0 is the
             # histogram; the largest size is counted apart, so the bincount
             # runs only to the second largest, and added last it keeps the
-            # sizes in order
+            # sizes in order. np.bincount copies what is not intp, so it
+            # reads the sizes FOLD at a time
             size = self._size
             at = int(np.argmax(size))
             top = int(size[at])
             size[at] = 0
-            counts = np.bincount(size)
+            counts = np.zeros(int(size.max()) + 1, dtype=np.int64)
+            for lo in range(0, self.n, FOLD):
+                part = np.bincount(size[lo:lo + FOLD])
+                counts[:len(part)] += part
             size[at] = top
             counts[0] = 0
             small = np.flatnonzero(counts)
@@ -727,16 +749,16 @@ class Simulation:
         return Snapshot(m=self.m, dist=dist)
 
     def check_forest(self) -> None:
-        """Recount the batch engine's roots from the parents, one CHUNK of
-        vertices at a time, and check that they are the vertices of nonzero
+        """Recount the batch engine's roots from the parents, FOLD vertices
+        at a time, and check that they are the vertices of nonzero
         size and as many as the merges leave. The scalar engine's snapshot
         already recounts its forest, so this checks nothing more there."""
         if not self._batch:
             return
         self._fold()
         roots = 0
-        for lo in range(0, self.n, CHUNK):
-            hi = min(lo + CHUNK, self.n)
+        for lo in range(0, self.n, FOLD):
+            hi = min(lo + FOLD, self.n)
             is_root = self._parent[lo:hi] == np.arange(lo, hi)
             if not np.array_equal(is_root, self._size[lo:hi] != 0):
                 raise AssertionError("union-find roots and nonzero sizes disagree")
@@ -751,6 +773,12 @@ def _draw(rng: np.random.Generator, n: int, rows: int, cols: int) -> np.ndarray:
     consecutive calls draw what one call for all their rows would."""
     dtype = np.int32 if n <= 1 << 31 else np.int64
     return rng.integers(0, n, size=(rows, cols), dtype=dtype)
+
+
+def _size_dtype(n: int) -> type:
+    """The dtype of the component sizes: int32 while a size, at most n,
+    fits, else int64."""
+    return np.int32 if n < 1 << 31 else np.int64
 
 
 def _check_attempts(m: int) -> None:

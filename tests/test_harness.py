@@ -373,6 +373,17 @@ def test_distribution_csv_rejects_bad_rows(tmp_path):
         SizeDistribution.from_csv(str(p))
 
 
+def test_cli_fixed_point_checks_each_row_before_summing_equal_sizes(tmp_path, capsys):
+    """A negative count must not cancel part of another row's for the same
+    size, which would leave a valid-looking {3: 1}."""
+    p = tmp_path / "dist.csv"
+    p.write_text("size,count\n3,-1\n3,2\n")
+    proc = run_cli(capsys, "fixed-point", "--dist", str(p), "--t", "1")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "bad row ['3', '-1']" in proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # command line contract
 

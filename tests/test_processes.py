@@ -486,6 +486,28 @@ def test_product_choice_flips_as_the_giant_grows_inside_a_block():
     assert (e1, snap.dist.counts) == (4, {1: 10, 2: 2, 5: 1, 11: 1})
 
 
+def test_product_widens_sizes_before_it_multiplies_them():
+    """Round 1 offers the giant {0..22499} with a component of 21500
+    against two components of 22000. At the giant's block-start size
+    22500 it would take the second edge, at its true size 22600 it takes
+    the first, so the round waits for the second pass. At G = n its first
+    product is 2.15e9, past 2**31: multiplied as int32 sizes it wraps to a
+    negative value, the round looks exact in the first pass and merges
+    the two components of 22000."""
+    rows = [
+        (0, 88000, 88100, 88101),  # 22500*100 > 1*1: the component of 100 joins the giant
+        (0, 66500, 22500, 44500),  # 22600*21500 >= 22000*22000: the first edge
+    ]
+    n = 100_000
+    assert n * 21500 >= 2**31
+    (batch, scalar), sim = product_on_rows(rows, n, initial="22500:1,22000:2,21500:1,100:1")
+    assert sim._size.dtype == np.int32
+    assert batch == scalar
+    snap, e1, _ = batch
+    assert (e1, snap.dist.counts) == (2, {1: 11900, 22000: 2, 44100: 1})
+    assert sim.blocks == 1
+
+
 def test_product_giant_is_the_largest_component_its_block_reads():
     """The block never reads the component of 8, so its giant is the
     component of 3 on vertices 8..10. A pair merge grows past the giant,
@@ -866,6 +888,84 @@ def test_er_refuses_n_whose_keys_overflow_int64_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+MEMORY_N = 1_000_000
+MIB = 1 << 20
+
+
+def traced(fn):
+    """fn(), the bytes it left allocated and the most it had allocated at
+    once, both above what was live before it (numpy reports its buffers
+    to tracemalloc)."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, held, peak
+
+
+def memory_states(kind):
+    """A batch simulation at n = 1e6, with at most FOLD edges buffered,
+    from the first edges to t = 1.2, past the transition of every rule."""
+    sim = Simulation(ProcessKind.from_token(kind), MEMORY_N, seed=1)
+    for m in (processes.FOLD, MEMORY_N // 2, 6 * MEMORY_N // 10):
+        if kind == "product":
+            # product rounds merge in place, so a continuation fills the buffer
+            sim.advance_to(m)
+            sim.snapshot()
+            sim.add_er_edges(processes.FOLD)
+        else:
+            sim.advance_to(m - processes.FOLD)
+            sim.snapshot()
+            sim.advance_to(m)
+        assert processes.FOLD // 2 < sim._npending <= processes.FOLD
+        yield sim
+
+
+@pytest.mark.parametrize("kind", ["bf", "er-wr", "product"])
+def test_batch_forest_holds_int64_parents_int32_sizes_and_a_bitmap(kind):
+    """8n + 4n + n bytes, and 4n more for a two-choice rule's int32 round
+    stamps; the few KiB beyond are the generator and the small fields."""
+    sim, held, _ = traced(lambda: Simulation(ProcessKind.from_token(kind), MEMORY_N, seed=1))
+    assert (sim._parent.dtype, sim._size.dtype) == (np.int64, np.int32)
+    want = (8 + 4 + 1 + 4 * sim.kind.two_choice) * MEMORY_N
+    assert want <= held <= want + 64 * 1024
+
+
+@pytest.mark.parametrize("kind", ["bf", "er-wr", "product"])
+def test_a_fold_allocates_at_most_2_mib_above_what_was_live(kind):
+    """The temporaries of merging FOLD edges are bounded by FOLD, whatever
+    n is, and most are freed once they are used."""
+    for sim in memory_states(kind):
+        _, _, peak = traced(sim._fold)
+        assert sim._npending == 0
+        assert peak <= 2 * MIB, (sim.m, peak / MIB)
+
+
+@pytest.mark.parametrize("kind", ["bf", "er-wr", "product"])
+def test_snapshot_and_recount_allocate_at_most_half_a_mib(kind):
+    """With nothing buffered, a snapshot bincounts the int32 sizes and a
+    recount compares the parents with their indices, FOLD vertices at a
+    time, rather than making an array of n or CHUNK entries."""
+    for sim in memory_states(kind):
+        sim._fold()
+
+        def observe():
+            sim.snapshot()
+            sim.check_forest()
+
+        _, _, peak = traced(observe)
+        assert peak <= MIB // 2, (sim.m, peak / MIB)
+
+
+def test_sizes_are_int32_while_a_size_fits():
+    """A size is at most n, so int32 holds every size while n < 2**31;
+    the dtype is read from n alone, without making a forest."""
+    assert processes._size_dtype(2**31 - 1) is np.int32
+    assert processes._size_dtype(2**31) is np.int64
 
 
 def test_add_er_edges_does_not_touch_e1_count():
