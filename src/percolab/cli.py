@@ -66,11 +66,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_ode(args) -> int:
-    from .harness import _fmt, _write_atomic
+    from .harness import _fmt, _write_atomic, check_names_a_file
     from .ode import find_tc
 
     if not 0 < args.tol < math.inf:
         raise InvalidConfigError(f"--tol must be finite and > 0, got {args.tol}")
+    if args.csv:
+        check_names_a_file(args.csv, "--csv")
     data = find_tc(args.tol).as_dict()
     for key, value in data.items():
         print(f"{key}={_fmt(value)}")
@@ -103,9 +105,11 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_fixed_point(args) -> int:
     from .giant import solve_rho, supercritical_bounds
-    from .harness import SRC_CLOSED_FORM, SRC_FIXED_POINT, CSV_COLUMNS, ResultRow
+    from .harness import SRC_CLOSED_FORM, SRC_FIXED_POINT, ResultRow, check_names_a_file
     from .ledger import SizeDistribution
 
+    if args.csv:
+        check_names_a_file(args.csv, "--csv")
     dist = SizeDistribution.from_csv(args.dist)
     fp = solve_rho(dist, args.t, tol=args.tol)
     bounds = None  # computed before any line is printed, so a refused one prints none

@@ -184,6 +184,7 @@ class ExperimentConfig:
                 raise InvalidConfigError(f"{f.name} must be {kind}, got {value!r}")
         if self.tol <= 0:
             raise InvalidConfigError("tol must be > 0")
+        check_names_a_file(self.out, "out")
         contract = EXPERIMENTS.get(self.experiment)
         if contract is None:
             raise InvalidConfigError(
@@ -210,6 +211,8 @@ class ExperimentConfig:
         if self.experiment == "growth":
             if any(d < 0 or d > 0.3 for d in self.delta_grid):
                 raise InvalidConfigError("growth deltas must lie in [0, 0.3]")
+            if len(set(self.delta_grid)) < len(self.delta_grid):
+                raise InvalidConfigError("growth deltas must be distinct")
         if self.experiment == "two_phase":
             if any(d <= 0 or d >= 1 for d in self.delta_grid):
                 raise InvalidConfigError("two_phase deltas must lie in (0, 1)")
@@ -626,6 +629,14 @@ EXPERIMENTS = {
 def run_experiment(cfg: ExperimentConfig) -> ExperimentOutcome:
     cfg.validate()
     return EXPERIMENTS[cfg.experiment].run(cfg)
+
+
+def check_names_a_file(path: str, what: str) -> None:
+    """Refuse an output path that names no file: one that ends in a
+    separator, or whose last component is empty, "." or "..". Path() drops
+    a trailing separator, so "sub/" would be written as a file named sub."""
+    if os.path.basename(path) in ("", ".", ".."):
+        raise InvalidConfigError(f"{what} must name a file, got {path!r}")
 
 
 def _write_atomic(path: Path, text: str) -> None:

@@ -25,9 +25,12 @@ star on its first vertex, since only its vertex sets matter. The uniform
 rules and bf buffer the edges they insert and fold them into the forest
 once per snapshot or per CHUNK edges, at most FOLD edges at a time, in
 rounds of vectorized hooking and pointer jumping that free their
-temporaries as they go. er keeps the sorted keys of the pairs present;
-each slice of proposals is sorted once, its distinct keys are looked up
-in that array in sorted order, and the new ones are merged in. The
+temporaries as they go; what follows a hook, the size update, is stated
+once for every rule. er keeps the sorted keys of the pairs present;
+the keys of each slice of proposals are sorted once, the distinct ones
+are looked up in that array in sorted order, and the new ones are merged
+in and inserted as pairs read back from the keys, since which row of a
+repeated pair inserts it changes no component. The
 two-choice rules decide speculative blocks of about sqrt(n) rows on the
 state at block start: bf on the isolation bitmap, and the product rule
 on exact component sizes. For the product rule each block takes as
@@ -510,14 +513,14 @@ class Simulation:
         smaller root, by size and then by index, under the other, so the
         pointers climb a strict order and close no cycle. A root offered
         several parents takes one: each edge writes its own mark into it,
-        and the edge whose mark stayed wins. Jumping the hooked roots over
-        their parents, which are hooked roots too or roots, points each
-        straight at a root, whose size then takes in theirs and drops to 0;
-        so the sizes are exact at the roots and 0 elsewhere after every
-        round, union by size keeps the trees shallow, and one gather finds
-        the next round's roots. The lookups of the ends and each jump read
-        again only the entries not yet at a root, so a level costs what is
-        still moving.
+        and the edge whose mark stayed wins. `_find` on the hooked roots
+        then jumps each over its parent, a hooked root too or a root,
+        straight to a root, whose size takes in theirs (`_absorb`); so the
+        sizes are exact at the roots and 0 elsewhere after every round,
+        union by size keeps the trees shallow, and one gather finds the next
+        round's roots. The lookups of the ends and each jump read again only
+        the entries not yet at a root, so a level costs what is still
+        moving.
         """
         parent, size = self._parent, self._size
         a = self._find(np.concatenate([e[0] for e in edges]))
@@ -544,59 +547,55 @@ class Simulation:
             won = np.flatnonzero(parent[child] == mark)
             del mark
             child = child[won]
-            top = top[won]
-            del won
-            parent[child] = top
-            # pointer jumping: only a child whose parent was hooked in this
-            # round reads again, since the others already point at a root
-            up = parent[top]
-            live = np.flatnonzero(up != top)
-            up = up[live]
-            while len(live):
-                top[live] = up
-                parent[child[live]] = up
-                above = parent[up]
-                still = np.flatnonzero(above != up)
-                live, up = live[still], above[still]
-            np.add.at(size, top, size[child])
-            size[child] = 0
-            self._trees -= len(child)
+            parent[child] = top[won]
+            # `_find` gathers the hooked parents anew, so `top` is freed
+            # first rather than held through the climb beside that copy
+            del won, top
+            self._absorb(child, self._find(child))
             a, b = parent[a], parent[b]
+
+    def _absorb(self, child: np.ndarray, top: np.ndarray) -> None:
+        """What follows a hook of the roots `child` under the roots `top`:
+        each top's size takes in its children's, which drop to 0, and the
+        trees lose one per child."""
+        size = self._size
+        np.add.at(size, top, size[child])
+        size[child] = 0
+        self._trees -= len(child)
 
     def _consume_uniform(self, need: int, norep: bool) -> int:
         # need rows hold at most need insertions: the whole slice is consumed
         rows = self._buf[self._pos:self._pos + need]
         self._pos += len(rows)
         u, v = rows[:, 0], rows[:, 1]
-        take = self._new_pairs(u, v) if norep else np.flatnonzero(u != v)
-        u, v = u[take], v[take]
+        if norep:
+            u, v = self._new_pairs(u, v)
+        else:
+            take = np.flatnonzero(u != v)
+            u, v = u[take], v[take]
         self._insert(u, v)
         return len(u)
 
-    def _new_pairs(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Rows, in row order, that are er insertions: no loop, no pair
-        already present and no repeat of an earlier row's pair. Their keys
-        join `_keys`.
+    def _new_pairs(self, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The er insertions of a nonempty slice of proposals: its distinct
+        pairs that are no loop and not present yet, as (lower, upper) ends
+        in key order, at the dtype of u. Their keys join `_keys`. Which row
+        of a repeated pair inserts it changes no component, so no row is
+        tracked.
 
-        One sort of the slice's keys groups equal pairs; the earliest row of
-        each group is its least row index, whatever order the sort left equal
-        keys in. The sorted distinct keys are looked up in `_keys` and the
-        new ones are merged in at the positions the lookup found.
+        The slice's keys are sorted once and the distinct ones kept; they
+        are looked up in `_keys` in sorted order, and the new ones are
+        merged in at the positions the lookup found.
         """
         n = self.n
-        keys = np.minimum(u, v).astype(np.int64) * n + np.maximum(u, v)
-        order = np.argsort(keys)
-        keys = keys[order]
-        starts = np.flatnonzero(keys[1:] != keys[:-1]) + 1
-        starts = np.concatenate(([0], starts))
-        rows = np.minimum.reduceat(order, starts)
-        keys = keys[starts]
-        del order, starts
+        keys = np.sort(np.minimum(u, v).astype(np.int64) * n + np.maximum(u, v))
+        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
         at = np.searchsorted(self._keys, keys)
         # a loop's key u*(n+1) is the only kind of key that n+1 divides
         fresh = np.flatnonzero((self._keys[at] != keys) & (keys % (n + 1) != 0))
-        self._keys = np.insert(self._keys, at[fresh], keys[fresh])
-        return np.sort(rows[fresh])
+        keys = keys[fresh]
+        self._keys = np.insert(self._keys, at[fresh], keys)
+        return (keys // n).astype(u.dtype), (keys % n).astype(u.dtype)
 
     def _consume_bf(self, need: int) -> int:
         """One speculative block of bf rounds.
@@ -700,11 +699,9 @@ class Simulation:
             child = a + b - top
             grow[left[join]] = np.where(top == big, size[child], 0)
             parent[child] = top
-            np.add.at(size, top, size[child])
-            size[child] = 0
+            self._absorb(child, top)
             self._iso[np.where(first, quads[:, 0], quads[:, 2])[join]] = False
             self._iso[np.where(first, quads[:, 1], quads[:, 3])[join]] = False
-            self._trees -= len(child)
             self.e1_rounds += int(np.count_nonzero(first[exact]))
             left = left[~exact]
         self.blocks += 1

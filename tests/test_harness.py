@@ -420,12 +420,15 @@ def test_cli_usage_errors_exit_2():
     ("experiment", "--config", "{tmp}/nested.json"),
     ("fixed-point", "--dist", "{tmp}/triples.csv", "--t", "1e160", "--csv", "{tmp}/missing"),
     ("fixed-point", "--dist", "{tmp}/triples.csv", "--t", "1e300"),
+    ("ode", "--csv", "{tmp}/sub/"),
+    ("fixed-point", "--dist", "{tmp}/dist.csv", "--t", "1", "--csv", "."),
 ])
 def test_cli_bad_inputs_exit_2_without_a_traceback(tmp_path, args):
     """Unparsable record lists, tolerances that are not finite and positive,
     files that cannot be read or written (or parsed, like a config nested
-    too deeply for the JSON reader) and a t whose giant bounds overflow a
-    float are usage errors; no CSV is written."""
+    too deeply for the JSON reader), a --csv that names no file and a t
+    whose giant bounds overflow a float are usage errors; no CSV is
+    written."""
     (tmp_path / "dist.csv").write_text("size,count\n1,500\n2,250\n")
     (tmp_path / "triples.csv").write_text("size,count\n3,5\n")
     (tmp_path / "nested.json").write_text("[" * 100000 + "]" * 100000)
@@ -582,6 +585,36 @@ def test_cli_failed_experiment_leaves_no_output_directory(tmp_path, capsys, monk
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: t_grid must stay below tc - 0.05")
     assert not (tmp_path / "newdir").exists()
+
+
+def test_cli_refuses_repeated_growth_deltas(tmp_path, capsys):
+    """A repeated delta ran its block twice, kept the last mean alone and
+    then divided by the zero spread of the fitted deltas. It is refused
+    before any run."""
+    out = tmp_path / "g.csv"
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"experiment": "growth", "n": 1000, "replicates": 2,
+                             "delta_grid": [0.1, 0.1], "out": str(out)}))
+    proc = run_cli(capsys, "experiment", "--config", str(p))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: growth deltas must be distinct")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("out", ["", ".", "sub/", "sub/.", ".."])
+def test_cli_refuses_an_out_that_names_no_file(out, tmp_path, capsys, monkeypatch):
+    """An out of "" or "." ran the experiment and then failed on the write
+    with a traceback; "sub/" and "sub/." wrote the CSV as a file named sub
+    and then failed on the sidecar. Each is refused before any run."""
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"experiment": "constants", "n": 100, "out": out}))
+    monkeypatch.chdir(tmp_path)
+    with mock.patch("percolab.harness.run_experiment") as run:
+        proc = run_cli(capsys, "experiment", "--config", str(p))
+    run.assert_not_called()
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: out must name a file")
+    assert os.listdir(tmp_path) == ["cfg.json"]
 
 
 def _cap_address_space():
