@@ -11,7 +11,8 @@ n = 2e7, and reports:
 - advance_s, fold_s and snapshot_s, the wall time summed over all calls:
   before each snapshot an explicit fold merges the buffered edges into
   the union-find forest (the component merge), so snapshot_s times the
-  histogram and its self-checks alone;
+  one pass that builds the histogram and checks the forest, the recount
+  of the roots from the parents among its checks;
 - rss_advance_mb, ru_maxrss just before the last fold;
 - rss_snapshot_mb, ru_maxrss after the last fold and snapshot;
 - rss_import_mb, ru_maxrss after import, for reference;

@@ -208,14 +208,14 @@ class ExperimentConfig:
             raise InvalidConfigError("giant t_grid entries must be > 0")
         if self.experiment == "variant_agreement" and self.replicates < 2:
             raise InvalidConfigError("variant_agreement needs replicates >= 2")
-        if self.experiment == "growth":
-            if any(d < 0 or d > 0.3 for d in self.delta_grid):
-                raise InvalidConfigError("growth deltas must lie in [0, 0.3]")
-            if len(set(self.delta_grid)) < len(self.delta_grid):
-                raise InvalidConfigError("growth deltas must be distinct")
-        if self.experiment == "two_phase":
-            if any(d <= 0 or d >= 1 for d in self.delta_grid):
-                raise InvalidConfigError("two_phase deltas must lie in (0, 1)")
+        # a repeated point would run its block twice and write each row key twice
+        for grid, name in ((self.t_grid, "t_grid entries"), (self.delta_grid, "deltas")):
+            if len(set(grid)) < len(grid):
+                raise InvalidConfigError(f"{self.experiment} {name} must be distinct")
+        if self.experiment == "growth" and any(d < 0 or d > 0.3 for d in self.delta_grid):
+            raise InvalidConfigError("growth deltas must lie in [0, 0.3]")
+        if self.experiment == "two_phase" and any(d <= 0 or d >= 1 for d in self.delta_grid):
+            raise InvalidConfigError("two_phase deltas must lie in (0, 1)")
         if InitialGraphSpec.parse(self.initial).parts and not contract.reads_initial:
             raise InvalidConfigError(
                 f"{self.experiment} starts from the empty graph; initial is not used"
@@ -259,9 +259,7 @@ def stop_restart(spec: RunSpec, continue_t: float) -> tuple[TraceRecord, float]:
     stopped = sim.snapshot().trace(2 * sim.m / spec.n)
     extra = poisson_edge_count((1.0 - stopped.x1 * stopped.x1) * continue_t, spec.n, sim.rng)
     sim.add_er_edges(extra)
-    final = sim.snapshot()
-    sim.check_forest()
-    return stopped, final.dist.c1 / spec.n
+    return stopped, sim.snapshot().dist.c1 / spec.n
 
 
 def seed_blocks(cfg: ExperimentConfig):

@@ -150,11 +150,6 @@ class SizeDistribution:
     def n1(self) -> int:
         return self.counts.get(1, 0)
 
-    def validate(self) -> None:
-        for s, c in self.counts.items():
-            if s < 1 or c < 1:
-                raise InvalidConfigError("sizes and counts must be >= 1")
-
     @classmethod
     def from_csv(cls, path: str) -> "SizeDistribution":
         """Load a two-column CSV ``size,count`` with header."""

@@ -39,12 +39,12 @@ every round of the block whose other components no earlier pending round
 reads and whose choice cannot change as that giant grows, merging
 straight into the forest through one hook, and repeats on the rounds
 left until none is; it widens the sizes it reads to int64 before it
-multiplies them. A snapshot bincounts the sizes FOLD vertices at a time,
-and checks the histogram against the merge count, n and the isolation
-bitmap; check_forest recounts the roots from the parents, FOLD vertices
-at a time too, which run_process does after its last snapshot. So the
-temporaries of a fold and a recount are bounded by FOLD whatever n is,
-and a snapshot's by FOLD and the second largest size.
+multiplies them. A snapshot reads the forest in one pass, FOLD vertices
+at a time: it recounts the roots from the parents against the nonzero
+sizes, bincounts the sizes below FOLD and lists the larger ones apart,
+then checks the histogram against the merge count, n and the isolation
+bitmap. So the temporaries of a fold and of a snapshot are bounded by
+FOLD whatever n and the sizes are.
 
 One run attempts at most MAX_ATTEMPTS insertions; asking for more
 raises InvalidConfigError, since no run of that length could finish.
@@ -712,27 +712,38 @@ class Simulation:
     def snapshot(self) -> Snapshot:
         if self._batch:
             self._fold()
-            # sizes are 0 off the roots, so their bincount past 0 is the
-            # histogram; the largest size is counted apart, so the bincount
-            # runs only to the second largest, and added last it keeps the
-            # sizes in order. np.bincount copies what is not intp, so it
-            # reads the sizes FOLD at a time
-            size = self._size
-            at = int(np.argmax(size))
-            top = int(size[at])
-            size[at] = 0
-            counts = np.zeros(int(size.max()) + 1, dtype=np.int64)
+            # one pass reads the forest FOLD vertices at a time, so its
+            # temporaries are bounded by FOLD whatever n and the sizes are.
+            # Each slice recounts its roots from the parents, which must be
+            # the vertices of nonzero size, bincounts its sizes below FOLD
+            # (sizes are 0 off the roots, so the counts past 0 are the
+            # histogram) and lists the larger ones apart
+            parent, size = self._parent, self._size
+            counts = np.zeros(1, dtype=np.int64)
+            large: list[int] = []
             for lo in range(0, self.n, FOLD):
-                part = np.bincount(size[lo:lo + FOLD])
-                counts[:len(part)] += part
-            size[at] = top
+                hi = min(lo + FOLD, self.n)
+                if not np.array_equal(parent[lo:hi] == np.arange(lo, hi), size[lo:hi] != 0):
+                    raise AssertionError("union-find roots and nonzero sizes disagree")
+                # np.bincount would copy the sizes to intp anyway; in the copy
+                # the large sizes are set to 0, which is not counted
+                part = size[lo:hi].astype(np.intp)
+                big = part >= FOLD
+                if big.any():
+                    large += part[big].tolist()
+                    part[big] = 0
+                part = np.bincount(part, minlength=len(counts))
+                part[:len(counts)] += counts
+                counts = part
             counts[0] = 0
             small = np.flatnonzero(counts)
             hist = dict(zip(small.tolist(), counts[small].tolist()))
-            hist[top] = hist.get(top, 0) + 1
+            for s in sorted(large):  # above every small size, so the keys stay in order
+                hist[s] = hist.get(s, 0) + 1
             dist = SizeDistribution(hist)
+            # the roots are the nonzero sizes, so this counts both
             if dist.n_components != self._trees:
-                raise AssertionError("nonzero sizes and merge count disagree")
+                raise AssertionError("roots, nonzero sizes and merge count disagree")
             if dist.n_vertices != self.n:
                 raise AssertionError("component sizes do not sum to n")
             if dist.n1 != int(np.count_nonzero(self._iso)):
@@ -744,24 +755,6 @@ class Simulation:
             if (dist.c1, dist.n1) != (self.ledger.c1_size, self.ledger.n1_isolated):
                 raise AssertionError("ledger extremes and histogram disagree")
         return Snapshot(m=self.m, dist=dist)
-
-    def check_forest(self) -> None:
-        """Recount the batch engine's roots from the parents, FOLD vertices
-        at a time, and check that they are the vertices of nonzero
-        size and as many as the merges leave. The scalar engine's snapshot
-        already recounts its forest, so this checks nothing more there."""
-        if not self._batch:
-            return
-        self._fold()
-        roots = 0
-        for lo in range(0, self.n, FOLD):
-            hi = min(lo + FOLD, self.n)
-            is_root = self._parent[lo:hi] == np.arange(lo, hi)
-            if not np.array_equal(is_root, self._size[lo:hi] != 0):
-                raise AssertionError("union-find roots and nonzero sizes disagree")
-            roots += int(np.count_nonzero(is_root))
-        if roots != self._trees:
-            raise AssertionError("union-find roots and merge count disagree")
 
 
 def _draw(rng: np.random.Generator, n: int, rows: int, cols: int) -> np.ndarray:
@@ -795,8 +788,7 @@ def run_process(kind: ProcessKind | str, n: int, initial: InitialGraphSpec | str
     """Run one process to t_end, recording observables on a schedule.
 
     Deterministic given (seed, kind, n, initial, schedule). record_at
-    must be sorted and bounded by t_end. The forest is recounted after the
-    last snapshot.
+    must be sorted and bounded by t_end.
     """
     if isinstance(kind, str):
         kind = ProcessKind.from_token(kind)
@@ -818,8 +810,6 @@ def run_process(kind: ProcessKind | str, n: int, initial: InitialGraphSpec | str
                 prev_t = t
             sim.advance_to(m_cum)
             records.append(sim.snapshot().trace(t))
-        if records:
-            sim.check_forest()
         if t_end > prev_t:
             m_cum += poisson_edge_count(t_end - prev_t, n, sim.rng)
             sim.advance_to(m_cum)
@@ -830,7 +820,5 @@ def run_process(kind: ProcessKind | str, n: int, initial: InitialGraphSpec | str
             m_i = _snap_index(n, t, m_end)
             sim.advance_to(m_i)
             records.append(sim.snapshot().trace(2 * m_i / n))
-        if records:
-            sim.check_forest()
         sim.advance_to(m_end)
     return records

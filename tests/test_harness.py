@@ -601,6 +601,23 @@ def test_cli_refuses_repeated_growth_deltas(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("experiment, grid", [("two_phase", {"delta_grid": [0.1, 0.1]}),
+                                              ("moments", {"t_grid": [0.5, 0.5]})])
+def test_cli_refuses_a_repeated_grid_point(experiment, grid, tmp_path, capsys):
+    """A repeated delta or t ran its block twice and wrote every row key
+    twice, each with its own values. Every experiment refuses it, as growth
+    does, before any run."""
+    out = tmp_path / "r.csv"
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"experiment": experiment, "n": 1000, "replicates": 2,
+                             **grid, "out": str(out)}))
+    proc = run_cli(capsys, "experiment", "--config", str(p))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: {experiment} ")
+    assert "must be distinct" in proc.stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("out", ["", ".", "sub/", "sub/.", ".."])
 def test_cli_refuses_an_out_that_names_no_file(out, tmp_path, capsys, monkeypatch):
     """An out of "" or "." ran the experiment and then failed on the write

@@ -126,13 +126,6 @@ def test_distribution_second_largest_conventions():
     assert SizeDistribution({4: 1, 2: 3}).c2 == 2
 
 
-def test_distribution_validate_rejects_garbage():
-    with pytest.raises(ValueError):
-        SizeDistribution({0: 3}).validate()
-    with pytest.raises(ValueError):
-        SizeDistribution({2: -1}).validate()
-
-
 # ---------------------------------------------------------------------------
 # brute-force oracle, then ledger vs oracle
 

@@ -1,6 +1,7 @@
 """Process semantics: rule choices, stream determinism, engine parity, golden
 rows, limits."""
 
+import itertools
 import math
 import tracemalloc
 from functools import partial
@@ -25,9 +26,6 @@ from percolab import harness, processes
 from percolab.harness import ExperimentConfig, ResultRow, RunSpec, run_experiment, stop_restart
 
 ALL_KINDS = list(ProcessKind)
-# the snapshot with its own checks only, without the recount of the forest
-# that tests/conftest.py adds after every snapshot
-SNAPSHOT = Simulation.snapshot
 
 
 # ---------------------------------------------------------------------------
@@ -598,11 +596,12 @@ def test_fold_jumps_pointers_over_roots_hooked_in_the_same_round(n, initial, row
 
 
 def test_batch_snapshot_checks_itself():
-    """Each rule's snapshot checks the count of nonzero sizes against the
-    merges, their sum against n and the singletons against the isolation
-    bitmap, so corrupting any of them raises. A vertex taken off its tree
-    becomes a root of size 0, which those checks cannot see; the recount of
-    the forest after a run's last snapshot finds it."""
+    """Each rule's snapshot recounts the roots from the parents against the
+    nonzero sizes, and checks their count against the merges, their sum
+    against n and the singletons against the isolation bitmap, so
+    corrupting any of them raises at the snapshot that follows. A vertex
+    taken off its tree becomes a root of size 0, which only the recount
+    sees."""
     def roots_largest_first(sim):
         roots = np.flatnonzero(sim._parent == np.arange(sim.n))
         return roots[np.argsort(-sim._size[roots], kind="stable")]
@@ -631,37 +630,17 @@ def test_batch_snapshot_checks_itself():
                         size_a_hooked_child, zero_the_giant):
             sim = Simulation(kind, 100, initial="3:2", seed=1)
             sim.advance_to(45)
-            SNAPSHOT(sim)
+            sim.snapshot()
             sim.advance_to(50)  # bf and the uniform rules leave edges to fold
             corrupt(sim)
             with pytest.raises(AssertionError):
-                SNAPSHOT(sim)
+                sim.snapshot()
         sim = Simulation(kind, 100, initial="3:2", seed=1)
         sim.advance_to(50)
-        SNAPSHOT(sim)
+        sim.snapshot()
         reroot_a_vertex(sim)
-        SNAPSHOT(sim)
         with pytest.raises(AssertionError, match="roots and nonzero sizes disagree"):
-            sim.check_forest()
-
-
-def test_runs_recount_the_forest_after_their_last_snapshot(monkeypatch):
-    """run_process recounts the forest once, right after its last snapshot
-    and before it runs on to t_end; stop_restart recounts it after the
-    snapshot that follows its continuation."""
-    monkeypatch.setattr(Simulation, "snapshot", SNAPSHOT)
-    seen = []
-    with mock.patch.object(Simulation, "check_forest", autospec=True, side_effect=lambda sim:
-                           seen.append((sim.m, sim.extra_attempts, sim._npending))):
-        for kind in ("bf", "er-poisson"):
-            records = run_process(kind, 1000, t_end=1.2, record_at=(0.5, 1.0), seed=2)
-            assert seen == [(records[-1].m, 0, 0)]
-            seen.clear()
-        run_process("bf", 1000, t_end=1.2, seed=2)
-        assert seen == []
-        stop_restart(RunSpec(ProcessKind.BOUNDED_SIZE, 1000, seed=2, t_end=0.8), continue_t=0.3)
-        [(m, extra, pending)] = seen
-        assert (m, pending) == (400, 0) and extra > 0
+            sim.snapshot()
 
 
 @pytest.mark.parametrize("n", [2, 100, 200_000, 2**31 - 1, 2**31, 2**31 + 1])
@@ -947,17 +926,15 @@ def test_a_fold_allocates_at_most_2_mib_above_what_was_live(kind):
 
 @pytest.mark.parametrize("kind", ["bf", "er-wr", "product"])
 def test_snapshot_and_recount_allocate_at_most_half_a_mib(kind):
-    """With nothing buffered, a snapshot bincounts the int32 sizes and a
-    recount compares the parents with their indices, FOLD vertices at a
-    time, rather than making an array of n or CHUNK entries."""
-    for sim in memory_states(kind):
+    """With nothing buffered, a snapshot compares the parents with their
+    indices and bincounts the int32 sizes below FOLD, FOLD vertices at a
+    time, rather than making an array of n or CHUNK entries, or one as
+    long as a large component. Two components of 400,000 vertices are the
+    case of a large second size."""
+    giants = Simulation(ProcessKind.from_token(kind), MEMORY_N, initial="400000:2", seed=1)
+    for sim in itertools.chain(memory_states(kind), [giants]):
         sim._fold()
-
-        def observe():
-            sim.snapshot()
-            sim.check_forest()
-
-        _, _, peak = traced(observe)
+        _, _, peak = traced(sim.snapshot)
         assert peak <= MIB // 2, (sim.m, peak / MIB)
 
 
