@@ -34,6 +34,11 @@ set-up that precedes any experiment run.
 runs the percolab found under --src (default: this checkout's src) and
 stores the results under --label in --out, keeping the other labels
 already in that file, so one file can hold a parent and a change run.
+
+    python scripts/bench.py --case er "" 100000 50 [--src src]
+
+runs one case alone and prints its JSON line. Every mode imports percolab
+from --src, ahead of any installed copy, with or without PYTHONPATH.
 """
 from __future__ import annotations
 
@@ -164,9 +169,8 @@ def cold_start(src: Path, args: tuple[str, ...]) -> dict:
 
 
 def run_child(src: Path, *args: str) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run([sys.executable, str(Path(__file__).resolve()), *args],
-                         env=env, check=True, capture_output=True, text=True).stdout
+    out = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--src", str(src), *args],
+                         check=True, capture_output=True, text=True).stdout
     return json.loads(out)
 
 
@@ -179,6 +183,8 @@ def main() -> None:
                     help=argparse.SUPPRESS)
     ap.add_argument("--solvers", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args()
+    src = args.src.resolve()
+    sys.path.insert(0, str(src))
     if args.case:
         kind, initial, n, points = args.case
         print(json.dumps(one_case(kind, initial, int(n), int(points))))
@@ -188,7 +194,6 @@ def main() -> None:
         return
     if not args.label or not args.out:
         ap.error("--label and --out are required")
-    src = args.src.resolve()
     grid = [(kind, initial, n, points) for kind, initial in CASES for n in SIZES
             for points in POINTS]
     cases = []

@@ -71,6 +71,10 @@ SLOPE_MAX_DELTA = 0.15
 # replicates take minutes and hundreds of MB; their standard error is 0.3%
 # of one run's spread
 MAX_REPLICATES = 100_000
+# each worker is a thread holding one simulation, a forest of up to 13
+# bytes per vertex, at a time; the pool starts min(workers, replicates)
+# threads, and on the 2 cores measured more than one gained nothing
+MAX_WORKERS = 64
 
 
 @dataclass(frozen=True)
@@ -196,8 +200,8 @@ class ExperimentConfig:
             raise InvalidConfigError(f"replicates must lie in [1, {MAX_REPLICATES}]")
         if self.seed < 0:
             raise InvalidConfigError("seed must be >= 0")
-        if self.workers < 1:
-            raise InvalidConfigError("workers must be >= 1")
+        if not 1 <= self.workers <= MAX_WORKERS:
+            raise InvalidConfigError(f"workers must lie in [1, {MAX_WORKERS}]")
         if contract.grid and not getattr(self, contract.grid):
             raise InvalidConfigError(f"{self.experiment} needs a nonempty {contract.grid}")
         if self.t_grid != sorted(self.t_grid):

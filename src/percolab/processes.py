@@ -17,34 +17,34 @@ queues it for the proposals that follow.
 engine='python' is the scalar reference: it walks the rows one by one
 through a union-find forest with an exact moment ledger. engine='auto'
 decides whole slices of rows with numpy on one union-find forest for
-every rule: int64 parents, and sizes that are int32 while n < 2**31, held
-at the roots, with 0 at the other vertices. The rows are drawn as int32
-when every vertex fits, which numpy draws from the same stream as int64.
-An initial graph is written into the forest directly, each component a
-star on its first vertex, since only its vertex sets matter. The uniform
-rules and bf buffer the edges they insert and fold them into the forest
-once per snapshot or per CHUNK edges, at most FOLD edges at a time, in
-rounds of vectorized hooking and pointer jumping that free their
-temporaries as they go; what follows a hook, the size update, is stated
-once for every rule. er keeps the sorted keys of the pairs present;
-the keys of each slice of proposals are sorted once, the distinct ones
-are looked up in that array in sorted order, and the new ones are merged
-in and inserted as pairs read back from the keys, since which row of a
-repeated pair inserts it changes no component. The
-two-choice rules decide speculative blocks of about sqrt(n) rows on the
-state at block start: bf on the isolation bitmap, and the product rule
-on exact component sizes. For the product rule each block takes as
-its giant the largest component it reads; one vectorized pass applies
-every round of the block whose other components no earlier pending round
-reads and whose choice cannot change as that giant grows, merging
-straight into the forest through one hook, and repeats on the rounds
-left until none is; it widens the sizes it reads to int64 before it
-multiplies them. A snapshot reads the forest in one pass, FOLD vertices
-at a time: it recounts the roots from the parents against the nonzero
-sizes, bincounts the sizes below FOLD and lists the larger ones apart,
-then checks the histogram against the merge count, n and the isolation
-bitmap. So the temporaries of a fold and of a snapshot are bounded by
-FOLD whatever n and the sizes are.
+every rule, held in one int64 array (Tarjan and van Leeuwen): a vertex's
+parent below the roots, and minus the component size at each root. The
+rows are drawn as int32 when every vertex fits, which numpy draws from
+the same stream as int64. An initial graph is written into the forest
+directly, each component a star on its first vertex, since only its
+vertex sets matter. The uniform rules and bf buffer the edges they
+insert and fold them into the forest once per snapshot or per CHUNK
+edges, at most FOLD edges at a time, in rounds of vectorized hooking and
+pointer jumping that free their temporaries as they go; what follows a
+hook, the roots taking in the children's sizes, is stated once for every
+rule. er keeps the sorted keys of the pairs present; the keys of each
+slice of proposals are sorted once, the distinct ones are looked up in
+that array in sorted order, and the new ones are merged in and inserted
+as pairs read back from the keys, since which row of a repeated pair
+inserts it changes no component. The two-choice rules decide speculative
+blocks of about sqrt(n) rows on the state at block start: bf on the
+isolation bitmap, and the product rule on exact component sizes. For the
+product rule each block takes as its giant the largest component it
+reads; one vectorized pass applies every round of the block whose other
+components no earlier pending round reads and whose choice cannot change
+as that giant grows, merging straight into the forest through one hook,
+and repeats on the rounds left until none is; the sizes it multiplies
+are int64, as the entries are. A snapshot reads the forest in one pass,
+FOLD vertices at a time: it refuses a vertex that is its own parent,
+bincounts the sizes at the roots below FOLD and lists the larger ones
+apart, then checks the histogram against the merge count, n and the
+isolation bitmap. So the temporaries of a fold and of a snapshot are
+bounded by FOLD whatever n and the sizes are.
 
 One run attempts at most MAX_ATTEMPTS insertions; asking for more
 raises InvalidConfigError, since no run of that length could finish.
@@ -286,14 +286,12 @@ class Simulation:
 
     def _init_batch(self) -> None:
         n = self.n
-        # union-find forest: each vertex points towards the root of its
-        # component, and `_size` holds the component size at each root and
-        # 0 elsewhere, so the sizes alone give the histogram. The parents
-        # are int64, since numpy casts any other index array on each use,
-        # at every level of `_find`; the sizes are values, never indices,
-        # so they are int32 whenever n fits
-        self._parent = np.arange(n, dtype=np.int64)
-        self._size = np.ones(n, dtype=_size_dtype(n))
+        # union-find forest in one array: each vertex below a root holds its
+        # parent, and each root minus the size of its component, so the
+        # negative entries alone give the histogram. The entries are int64,
+        # since numpy casts any other index array on each use, at every
+        # level of `_find`
+        self._parent = np.full(n, -1, dtype=np.int64)
         self._iso = np.ones(n, dtype=bool)
         self._trees = n  # n minus the merges made, for the snapshot self-check
         self._pending: list[tuple[np.ndarray, np.ndarray]] = []  # edges not yet in the forest
@@ -305,8 +303,7 @@ class Simulation:
             starts = np.cumsum(sizes) - sizes
             k = self.initial.total_vertices
             self._parent[:k] = np.repeat(starts, sizes)
-            self._size[:k] = 0
-            self._size[starts] = sizes
+            self._parent[starts] = -sizes
             self._iso[:k] = np.repeat(sizes == 1, sizes)
             self._trees -= k - len(sizes)
         if self.kind is ProcessKind.ER_WITHOUT_REPLACEMENT:
@@ -467,21 +464,26 @@ class Simulation:
     def _find(self, x: np.ndarray) -> np.ndarray:
         """Roots of the vertices x, which are then pointed at them.
 
-        One gather reads the parents and one check finds the entries whose
-        parent is not a root. Only those climb, and after each level the set
-        shrinks to the entries still below a root. An entry at depth one or
-        less already points at its root, so only the deep ones are written
-        back.
+        A negative entry marks a root. One gather reads the entries: each
+        vertex's parent, or minus a size, which the vertex itself, a root,
+        replaces. One more gather and check find the entries whose parent
+        is not a root. Only those climb, while the entry above is a parent
+        (`parent[up] >= 0`), and after each level the set shrinks to the
+        entries still below a root. An entry at depth one or less already
+        points at its root, so only the deep ones are written back.
         """
         parent = self._parent
         roots = parent[x]
+        at = np.flatnonzero(roots < 0)
+        roots[at] = x[at]
+        del at
         up = parent[roots]
-        deep = np.flatnonzero(up != roots)
+        deep = np.flatnonzero(up >= 0)
         live, up = deep, up[deep]
         while len(live):
             roots[live] = up
             above = parent[up]
-            still = np.flatnonzero(above != up)
+            still = np.flatnonzero(above >= 0)
             live, up = live[still], above[still]
         parent[x[deep]] = roots[deep]
         return roots
@@ -511,57 +513,68 @@ class Simulation:
 
         In a round every edge whose ends have different roots hooks the
         smaller root, by size and then by index, under the other, so the
-        pointers climb a strict order and close no cycle. A root offered
-        several parents takes one: each edge writes its own mark into it,
-        and the edge whose mark stayed wins. `_find` on the hooked roots
-        then jumps each over its parent, a hooked root too or a root,
-        straight to a root, whose size takes in theirs (`_absorb`); so the
-        sizes are exact at the roots and 0 elsewhere after every round,
-        union by size keeps the trees shallow, and one gather finds the next
-        round's roots. The lookups of the ends and each jump read again only
-        the entries not yet at a root, so a level costs what is still
-        moving.
+        pointers climb a strict order and close no cycle. The sizes are the
+        roots' entries, read before any is written: the smaller size is the
+        larger entry, so the larger of an edge's two entries is its child's.
+        A root offered several parents takes one: each edge writes its own
+        mark into it, and the edge whose mark stayed wins; its hook writes
+        the parent over the child's size. `_find` on the hooked roots then
+        jumps each over its parent, a hooked root too or a root, straight
+        to a root, which takes in the children's entries (`_absorb`); so
+        every root holds its exact size after every round, and union by
+        size keeps the trees shallow. An edge whose mark stayed has joined
+        its ends; only the others go on to the next round, whose roots one
+        gather finds, since every child now points straight at its root
+        and every top is a root or one of those children. The lookups of
+        the ends and each jump read again only the entries not yet at a
+        root, so a level costs what is still moving.
         """
-        parent, size = self._parent, self._size
+        parent = self._parent
         a = self._find(np.concatenate([e[0] for e in edges]))
         b = self._find(np.concatenate([e[1] for e in edges]))
         while True:
             live = a != b
             if not live.all():
                 live = np.flatnonzero(live)
-                if not len(live):
-                    break
                 a, b = a[live], b[live]
+            if not len(a):
+                break
             # the FOLD-sized temporaries are freed as soon as they are used,
-            # so fewer of them are live at the round's peak; but `shift`
-            # lives to the round's end, since freed before `mark` is made
-            # it took 1.6 to 3.7 times the minor page faults at n = 2e7
+            # and filtered one at a time, so few of them are live at once
             del live
-            sa, sb = size[a], size[b]
+            ea, eb = parent[a], parent[b]  # minus the roots' sizes
             # a - b where a hooks under b, else 0 (cheaper than np.where)
-            shift = (a - b) * ((sa < sb) | ((sa == sb) & (a < b)))
-            del sa, sb
+            shift = (a - b) * ((ea > eb) | ((ea == eb) & (a < b)))
             child, top = b + shift, a - shift
+            del shift, a, b
+            entry = np.maximum(ea, eb)  # the child's, read before the marks write over it
+            del ea, eb
             mark = np.arange(-1, -1 - len(child), -1)
             parent[child] = mark
-            won = np.flatnonzero(parent[child] == mark)
+            stayed = parent[child] == mark
             del mark
+            won = np.flatnonzero(stayed)
+            lost = np.flatnonzero(~stayed)  # the edges that go on
+            del stayed
+            a, b = child[lost], top[lost]
+            del lost
             child = child[won]
+            entry = entry[won]
             parent[child] = top[won]
-            # `_find` gathers the hooked parents anew, so `top` is freed
-            # first rather than held through the climb beside that copy
             del won, top
-            self._absorb(child, self._find(child))
-            a, b = parent[a], parent[b]
+            self._absorb(entry, self._find(child))
+            del child, entry
+            a, up = parent[a], parent[b]  # a child's root, a top's parent or size
+            b = np.where(up < 0, b, up)
+            del up
 
-    def _absorb(self, child: np.ndarray, top: np.ndarray) -> None:
-        """What follows a hook of the roots `child` under the roots `top`:
-        each top's size takes in its children's, which drop to 0, and the
-        trees lose one per child."""
-        size = self._size
-        np.add.at(size, top, size[child])
-        size[child] = 0
-        self._trees -= len(child)
+    def _absorb(self, entries: np.ndarray, top: np.ndarray) -> None:
+        """What follows a hook of roots under the roots `top`: each top's
+        entry takes in `entries`, minus the sizes its children held before
+        the hook wrote their parents over them, and the trees lose one per
+        child."""
+        np.add.at(self._parent, top, entries)
+        self._trees -= len(entries)
 
     def _consume_uniform(self, need: int, norep: bool) -> int:
         # need rows hold at most need insertions: the whole slice is consumed
@@ -653,15 +666,16 @@ class Simulation:
         and at G = n is exact. The first round of `left` follows only
         applied rounds, so its lower end is the giant's true size: it is
         always exact, and the loop ends. The exact rounds are applied at
-        once by one hook, whose children no other round of the pass reads.
-        The sizes read are widened to int64 first, since a product at
-        G = n passes 2**31 long before n does.
+        once by one hook, whose children no other round of the pass reads;
+        their entries are added into the tops before the hook writes over
+        them. The sizes are the negated int64 entries, so a product at
+        G = n, which passes 2**31 long before n does, cannot wrap.
         """
         self._fold()  # initial and continuation edges change the sizes read
         rows = self._buf[self._pos:self._pos + min(need, self._block)].astype(np.int64)
         self._pos += len(rows)
         count = len(rows)
-        parent, size = self._parent, self._size
+        parent = self._parent
         stamp = self._stamp  # earliest round of the pass reading each root
         big = -1  # the block's giant, picked by the first pass
         grow = np.zeros(count, dtype=np.int64)  # giant growth per applied round
@@ -670,8 +684,8 @@ class Simulation:
             quads = rows[left]
             roots = self._find(quads.ravel())
             if big < 0:
-                big = roots[np.argmax(size[roots])]
-                g0 = size[big]
+                big = roots[np.argmin(parent[roots])]
+                g0 = -parent[big]
             turn = np.repeat(np.arange(len(left), dtype=np.int32), 4)
             np.minimum.at(stamp, roots, turn)
             fresh = stamp[roots] == turn
@@ -679,7 +693,7 @@ class Simulation:
             roots = roots.reshape(-1, 4)
             giant = roots == big
             free = (fresh.reshape(-1, 4) | giant).all(axis=1)
-            sizes = size[roots].astype(np.int64)
+            sizes = -parent[roots]
             # rounds still in `left` have grown nothing, so the running sum
             # at a round is the growth from the applied rounds before it
             low = np.where(giant, g0 + np.cumsum(grow)[left, None], sizes)
@@ -694,12 +708,13 @@ class Simulation:
             a, b = a[join], b[join]
             # the child goes under the giant, else the smaller under the
             # larger, ties to a
-            keep = (b != big) & ((a == big) | (size[a] >= size[b]))
+            keep = (b != big) & ((a == big) | (parent[a] <= parent[b]))
             top = np.where(keep, a, b)
             child = a + b - top
-            grow[left[join]] = np.where(top == big, size[child], 0)
+            entries = parent[child]
+            grow[left[join]] = np.where(top == big, -entries, 0)
+            self._absorb(entries, top)
             parent[child] = top
-            self._absorb(child, top)
             self._iso[np.where(first, quads[:, 0], quads[:, 2])[join]] = False
             self._iso[np.where(first, quads[:, 1], quads[:, 3])[join]] = False
             self.e1_rounds += int(np.count_nonzero(first[exact]))
@@ -714,20 +729,21 @@ class Simulation:
             self._fold()
             # one pass reads the forest FOLD vertices at a time, so its
             # temporaries are bounded by FOLD whatever n and the sizes are.
-            # Each slice recounts its roots from the parents, which must be
-            # the vertices of nonzero size, bincounts its sizes below FOLD
-            # (sizes are 0 off the roots, so the counts past 0 are the
-            # histogram) and lists the larger ones apart
-            parent, size = self._parent, self._size
+            # Each slice refuses a vertex that is its own parent, which
+            # `_find` would climb forever, bincounts its sizes, the negated
+            # entries at the roots and 0 below them, under FOLD (the counts
+            # past 0 are the histogram) and lists the larger ones apart
+            parent = self._parent
             counts = np.zeros(1, dtype=np.int64)
             large: list[int] = []
             for lo in range(0, self.n, FOLD):
                 hi = min(lo + FOLD, self.n)
-                if not np.array_equal(parent[lo:hi] == np.arange(lo, hi), size[lo:hi] != 0):
-                    raise AssertionError("union-find roots and nonzero sizes disagree")
-                # np.bincount would copy the sizes to intp anyway; in the copy
-                # the large sizes are set to 0, which is not counted
-                part = size[lo:hi].astype(np.intp)
+                if (parent[lo:hi] == np.arange(lo, hi)).any():
+                    raise AssertionError("a union-find vertex is its own parent")
+                # the sizes, 0 below the roots; in this copy the large sizes
+                # are set to 0, which is not counted
+                part = np.negative(parent[lo:hi])
+                np.maximum(part, 0, out=part)
                 big = part >= FOLD
                 if big.any():
                     large += part[big].tolist()
@@ -741,9 +757,8 @@ class Simulation:
             for s in sorted(large):  # above every small size, so the keys stay in order
                 hist[s] = hist.get(s, 0) + 1
             dist = SizeDistribution(hist)
-            # the roots are the nonzero sizes, so this counts both
             if dist.n_components != self._trees:
-                raise AssertionError("roots, nonzero sizes and merge count disagree")
+                raise AssertionError("roots and merge count disagree")
             if dist.n_vertices != self.n:
                 raise AssertionError("component sizes do not sum to n")
             if dist.n1 != int(np.count_nonzero(self._iso)):
@@ -763,12 +778,6 @@ def _draw(rng: np.random.Generator, n: int, rows: int, cols: int) -> np.ndarray:
     consecutive calls draw what one call for all their rows would."""
     dtype = np.int32 if n <= 1 << 31 else np.int64
     return rng.integers(0, n, size=(rows, cols), dtype=dtype)
-
-
-def _size_dtype(n: int) -> type:
-    """The dtype of the component sizes: int32 while a size, at most n,
-    fits, else int64."""
-    return np.int32 if n < 1 << 31 else np.int64
 
 
 def _check_attempts(m: int) -> None:

@@ -188,6 +188,28 @@ def test_config_rejects_more_replicates_than_a_block_can_hold(n, replicates, tmp
     assert not (tmp_path / "m.csv").exists()
 
 
+def test_config_rejects_more_workers_than_the_pool_may_start(tmp_path, capsys):
+    """The pool starts one thread per worker, up to the replicate count, so
+    a huge count is refused by validation, before any thread is started,
+    and the largest count allowed still validates."""
+    import threading
+
+    from percolab.harness import MAX_WORKERS
+
+    cfg = {"experiment": "moments", "n": 1000, "replicates": MAX_WORKERS + 1,
+           "workers": MAX_WORKERS + 1, "t_grid": [0.5]}
+    ExperimentConfig.from_dict({**cfg, "workers": MAX_WORKERS})
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({**cfg, "out": str(tmp_path / "m.csv")}))
+    threads = threading.active_count()
+    with mock.patch("concurrent.futures.ThreadPoolExecutor") as pool:
+        proc = run_cli(capsys, "experiment", "--config", str(p))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: workers must lie in [1, {MAX_WORKERS}]")
+    assert not pool.called and threading.active_count() == threads
+    assert not (tmp_path / "m.csv").exists()
+
+
 def test_config_roundtrips_through_dict():
     cfg = ExperimentConfig.from_dict(
         {"experiment": "giant", "n": 1000, "t_grid": [1.5], "seed": 9}

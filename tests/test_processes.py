@@ -67,14 +67,16 @@ INITIAL_FOREST = "1:3,4:2,2:5,7:1"  # size-1 parts and a part longer than a bf b
 @pytest.mark.parametrize("n", [28, 40, 3000])
 def test_initial_graph_is_built_straight_into_the_forest(kind, n):
     """Right after construction the forest holds the initial components,
-    each vertex pointing at its root, with no edge left to fold."""
+    each vertex below a root pointing at it and each root holding minus its
+    size, with no edge left to fold."""
     spec = InitialGraphSpec.parse(INITIAL_FOREST)
     sim = Simulation(kind, n, initial=spec)
     assert (sim._pending, sim._npending) == ([], 0)
-    assert (sim._parent[sim._parent] == sim._parent).all()
-    assert sim._trees == n - sum((s - 1) * c for s, c in spec.parts)
-    roots = np.flatnonzero(sim._parent == np.arange(n))
-    assert sim._size[roots].max() == 7
+    assert (sim._parent[sim._parent[sim._parent >= 0]] < 0).all()
+    roots = np.flatnonzero(sim._parent < 0)
+    assert sim._trees == len(roots) == n - sum((s - 1) * c for s, c in spec.parts)
+    assert -sim._parent[roots].sum() == n
+    assert -sim._parent.min() == 7
     want = spec.to_distribution(n)
     assert np.count_nonzero(sim._iso) == want.n1
     assert sim.snapshot().dist == want
@@ -489,9 +491,10 @@ def test_product_widens_sizes_before_it_multiplies_them():
     against two components of 22000. At the giant's block-start size
     22500 it would take the second edge, at its true size 22600 it takes
     the first, so the round waits for the second pass. At G = n its first
-    product is 2.15e9, past 2**31: multiplied as int32 sizes it wraps to a
-    negative value, the round looks exact in the first pass and merges
-    the two components of 22000."""
+    product is 2.15e9, past 2**31: multiplied as int32 sizes it would wrap
+    to a negative value, the round would look exact in the first pass and
+    merge the two components of 22000. The sizes are read from the int64
+    entries of the roots, so no product wraps."""
     rows = [
         (0, 88000, 88100, 88101),  # 22500*100 > 1*1: the component of 100 joins the giant
         (0, 66500, 22500, 44500),  # 22600*21500 >= 22000*22000: the first edge
@@ -499,7 +502,7 @@ def test_product_widens_sizes_before_it_multiplies_them():
     n = 100_000
     assert n * 21500 >= 2**31
     (batch, scalar), sim = product_on_rows(rows, n, initial="22500:1,22000:2,21500:1,100:1")
-    assert sim._size.dtype == np.int32
+    assert sim._parent.dtype == np.int64
     assert batch == scalar
     snap, e1, _ = batch
     assert (e1, snap.dist.counts) == (2, {1: 11900, 22000: 2, 44100: 1})
@@ -540,7 +543,7 @@ def test_product_snapshot_checks_its_union_find():
         sim.advance_to(1)
         sim.snapshot()
         child = 1 if sim._parent[1] == 0 else 0
-        sim._parent[child], sim._size[child] = child, 1  # forget that 0 and 1 are joined
+        sim._parent[child] = -1  # forget that 0 and 1 are joined
         sim.advance_to(1 + len(later))  # the forest counts a second merge of 0 and 1
         with pytest.raises(AssertionError):
             sim.snapshot()
@@ -559,12 +562,13 @@ def test_find_climbs_a_forest_four_levels_deep():
         sim._insert(*np.array(edges, dtype=np.int64).T)
         sim._fold()
     before = sim._parent.copy()
-    assert before[[0, 1, 3, 7, 15]].tolist() == [1, 3, 7, 15, 15]
-    assert sim._size[15] == 16
+    assert before[[0, 1, 3, 7, 15]].tolist() == [1, 3, 7, 15, -16]
     x = np.array([0, 2, 0, 9, 15, 16, 18, 12, 0])
-    assert sim._find(x).tolist() == [15, 15, 15, 15, 15, 17, 18, 15, 15]
+    roots = np.array([15, 15, 15, 15, 15, 17, 18, 15, 15])
+    assert sim._find(x).tolist() == roots.tolist()
     expect = before.copy()
-    expect[x] = [15, 15, 15, 15, 15, 17, 18, 15, 15]
+    below = before[x] >= 0  # the roots 15 and 18 keep their sizes
+    expect[x[below]] = roots[below]
     assert sim._parent.tolist() == expect.tolist()
     assert sim._find(np.array([1, 3, 4])).tolist() == [15, 15, 15]
     assert sim.snapshot().dist.counts == {1: 2, 2: 1, 16: 1}
@@ -590,40 +594,50 @@ def test_fold_jumps_pointers_over_roots_hooked_in_the_same_round(n, initial, row
         snaps.append(sim.snapshot())
         if engine == "auto":
             # after the fold every pointer it moved points straight at a root
-            up = sim._parent[np.flatnonzero(sim._parent != before)]
-            assert len(up) and (sim._parent[up] == up).all()
+            up = sim._parent[np.flatnonzero((sim._parent != before) & (sim._parent >= 0))]
+            assert len(up) and (sim._parent[up] < 0).all()
     assert snaps[0] == snaps[1]
 
 
 def test_batch_snapshot_checks_itself():
-    """Each rule's snapshot recounts the roots from the parents against the
-    nonzero sizes, and checks their count against the merges, their sum
-    against n and the singletons against the isolation bitmap, so
+    """Each rule's snapshot refuses a vertex that is its own parent, and
+    checks the count of the roots against the merges, the sum of their
+    sizes against n and the singletons against the isolation bitmap, so
     corrupting any of them raises at the snapshot that follows. A vertex
-    taken off its tree becomes a root of size 0, which only the recount
-    sees."""
+    set to be its own parent would hang `_find`; with nothing left to fold
+    the snapshot meets it before any lookup does."""
     def roots_largest_first(sim):
-        roots = np.flatnonzero(sim._parent == np.arange(sim.n))
-        return roots[np.argsort(-sim._size[roots], kind="stable")]
+        roots = np.flatnonzero(sim._parent < 0)
+        return roots[np.argsort(sim._parent[roots], kind="stable")]
+
+    def a_hooked_child(sim):
+        return np.flatnonzero(sim._parent >= 0)[0]
 
     def forget_a_join(sim):
         sim._iso[np.flatnonzero(~sim._iso)[0]] = True
 
     def grow_the_giant(sim):
-        sim._size[roots_largest_first(sim)[0]] += 1
+        sim._parent[roots_largest_first(sim)[0]] -= 1
 
     def shrink_a_small_root(sim):
-        sim._size[roots_largest_first(sim)[-1]] -= 1
+        sim._parent[roots_largest_first(sim)[-1]] += 1
 
     def size_a_hooked_child(sim):
-        sim._size[np.flatnonzero(sim._parent != np.arange(sim.n))[0]] = 1
+        sim._parent[a_hooked_child(sim)] = -1
 
     def zero_the_giant(sim):
-        sim._size[roots_largest_first(sim)[0]] = 0
+        # the giant's entry is no size but a parent: the smallest root,
+        # outside its tree, so no lookup climbs a cycle
+        roots = roots_largest_first(sim)
+        sim._parent[roots[0]] = roots[-1]
 
-    def reroot_a_vertex(sim):
-        child = np.flatnonzero(sim._parent != np.arange(sim.n))[0]
+    def loop_a_hooked_child(sim):
+        child = a_hooked_child(sim)
         sim._parent[child] = child
+
+    def loop_the_giant(sim):
+        giant = roots_largest_first(sim)[0]
+        sim._parent[giant] = giant
 
     for kind in ALL_KINDS:
         for corrupt in (forget_a_join, grow_the_giant, shrink_a_small_root,
@@ -635,12 +649,13 @@ def test_batch_snapshot_checks_itself():
             corrupt(sim)
             with pytest.raises(AssertionError):
                 sim.snapshot()
-        sim = Simulation(kind, 100, initial="3:2", seed=1)
-        sim.advance_to(50)
-        sim.snapshot()
-        reroot_a_vertex(sim)
-        with pytest.raises(AssertionError, match="roots and nonzero sizes disagree"):
+        for corrupt in (loop_a_hooked_child, loop_the_giant):
+            sim = Simulation(kind, 100, initial="3:2", seed=1)
+            sim.advance_to(50)
             sim.snapshot()
+            corrupt(sim)
+            with pytest.raises(AssertionError, match="its own parent"):
+                sim.snapshot()
 
 
 @pytest.mark.parametrize("n", [2, 100, 200_000, 2**31 - 1, 2**31, 2**31 + 1])
@@ -905,12 +920,14 @@ def memory_states(kind):
 
 
 @pytest.mark.parametrize("kind", ["bf", "er-wr", "product"])
-def test_batch_forest_holds_int64_parents_int32_sizes_and_a_bitmap(kind):
-    """8n + 4n + n bytes, and 4n more for a two-choice rule's int32 round
-    stamps; the few KiB beyond are the generator and the small fields."""
+def test_batch_forest_holds_one_int64_array_and_a_bitmap(kind):
+    """8n bytes of parents and minus the sizes at the roots, n of the
+    isolation bitmap and 4n more for a two-choice rule's int32 round
+    stamps: 9n for a uniform rule, 13n for bf and product. The few KiB
+    beyond are the generator and the small fields."""
     sim, held, _ = traced(lambda: Simulation(ProcessKind.from_token(kind), MEMORY_N, seed=1))
-    assert (sim._parent.dtype, sim._size.dtype) == (np.int64, np.int32)
-    want = (8 + 4 + 1 + 4 * sim.kind.two_choice) * MEMORY_N
+    assert sim._parent.dtype == np.int64
+    want = (8 + 1 + 4 * sim.kind.two_choice) * MEMORY_N
     assert want <= held <= want + 64 * 1024
 
 
@@ -927,7 +944,7 @@ def test_a_fold_allocates_at_most_2_mib_above_what_was_live(kind):
 @pytest.mark.parametrize("kind", ["bf", "er-wr", "product"])
 def test_snapshot_and_recount_allocate_at_most_half_a_mib(kind):
     """With nothing buffered, a snapshot compares the parents with their
-    indices and bincounts the int32 sizes below FOLD, FOLD vertices at a
+    indices and bincounts the sizes below FOLD, FOLD vertices at a
     time, rather than making an array of n or CHUNK entries, or one as
     long as a large component. Two components of 400,000 vertices are the
     case of a large second size."""
@@ -936,13 +953,6 @@ def test_snapshot_and_recount_allocate_at_most_half_a_mib(kind):
         sim._fold()
         _, _, peak = traced(sim.snapshot)
         assert peak <= MIB // 2, (sim.m, peak / MIB)
-
-
-def test_sizes_are_int32_while_a_size_fits():
-    """A size is at most n, so int32 holds every size while n < 2**31;
-    the dtype is read from n alone, without making a forest."""
-    assert processes._size_dtype(2**31 - 1) is np.int32
-    assert processes._size_dtype(2**31) is np.int64
 
 
 def test_add_er_edges_does_not_touch_e1_count():
