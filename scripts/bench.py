@@ -9,10 +9,13 @@ n = 2e7, and reports:
 
 - init_s, the wall time of constructing the Simulation;
 - advance_s, fold_s and snapshot_s, the wall time summed over all calls:
-  before each snapshot an explicit fold merges the buffered edges into
-  the union-find forest (the component merge), so snapshot_s times the
-  one pass that builds the histogram and checks the forest, the recount
-  of the roots from the parents among its checks;
+  the engine merges its buffered edges into the union-find forest (the
+  component merge) within an advance whenever the buffer would pass FOLD
+  edges, so fold_s times only the explicit fold before each snapshot, of
+  the fewer than FOLD edges left, and advance_s the other merges; compare
+  advance_s + fold_s across changes to how the buffer is folded.
+  snapshot_s times the one pass that builds the histogram and checks the
+  forest, the recount of the roots from the parents among its checks;
 - rss_advance_mb, ru_maxrss just before the last fold;
 - rss_snapshot_mb, ru_maxrss after the last fold and snapshot;
 - rss_import_mb, ru_maxrss after import, for reference;

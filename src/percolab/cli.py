@@ -148,8 +148,9 @@ def _cmd_experiment(args) -> int:
     from .harness import ExperimentConfig, run_config
 
     cfg = ExperimentConfig.from_json(args.config)
-    if args.out:
+    if args.out is not None:
         cfg.out = args.out
+        cfg.validate()
     return run_config(cfg, check=args.check)
 
 

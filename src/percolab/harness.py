@@ -220,6 +220,15 @@ class ExperimentConfig:
             raise InvalidConfigError("growth deltas must lie in [0, 0.3]")
         if self.experiment == "two_phase" and any(d <= 0 or d >= 1 for d in self.delta_grid):
             raise InvalidConfigError("two_phase deltas must lie in (0, 1)")
+        # a positive delta under 2/n, the process time of one insertion, ends
+        # the runs within one insertion of delta = 0; far below it two_phase's
+        # predictions, which divide by delta**(10/3), and growth's slope fit,
+        # which divides by the sum of the squared deltas, overflow
+        if contract.grid == "delta_grid" and any(0 < d < 2 / self.n for d in self.delta_grid):
+            raise InvalidConfigError(
+                f"{self.experiment} positive deltas must be at least 2/n = {2 / self.n:g}, "
+                f"the process time of one insertion"
+            )
         if InitialGraphSpec.parse(self.initial).parts and not contract.reads_initial:
             raise InvalidConfigError(
                 f"{self.experiment} starts from the empty graph; initial is not used"
@@ -533,10 +542,6 @@ def exp_two_phase(cfg: ExperimentConfig) -> ExperimentOutcome:
         eps = delta ** (2.0 / 3.0)
         t_stop = constants.tc - eps
         t_final = constants.tc + delta
-        if t_stop < 0.1:
-            raise InvalidConfigError(
-                f"delta={delta:g} stops at t={t_stop:.3f}; too close to the start"
-            )
         direct_seeds, direct = run_block(cfg, seeds, ProcessKind.BOUNDED_SIZE, t_final,
                                          (t_final,))
         stop_seeds, stopped = run_block(cfg, seeds, ProcessKind.BOUNDED_SIZE, t_stop,

@@ -23,9 +23,9 @@ rows are drawn as int32 when every vertex fits, which numpy draws from
 the same stream as int64. An initial graph is written into the forest
 directly, each component a star on its first vertex, since only its
 vertex sets matter. The uniform rules and bf buffer the edges they
-insert and fold them into the forest once per snapshot or per CHUNK
-edges, at most FOLD edges at a time, in rounds of vectorized hooking and
-pointer jumping that free their temporaries as they go; what follows a
+insert and fold them into the forest at each snapshot and before the
+buffer would pass FOLD edges, in one merge of rounds of vectorized
+hooking and pointer jumping that free their temporaries; what follows a
 hook, the roots taking in the children's sizes, is stated once for every
 rule. er keeps the sorted keys of the pairs present; the keys of each
 slice of proposals are sorted once, the distinct ones are looked up in
@@ -82,6 +82,9 @@ __all__ = [
 CHUNK = 1 << 18  # proposal rows of one chunk of the stream
 PIECE = 1 << 15  # proposal rows drawn per generator call, a chunk's pieces in turn
 FOLD = 1 << 15  # buffered edges merged, or vertices scanned, at a time
+# The edge buffer is folded before it would pass FOLD edges. The edges
+# inserted at once come from one slice of rows, at most a PIECE of them, so
+# with PIECE <= FOLD a merge never takes more than FOLD edges.
 PRODUCT_BLOCK: int | None = None  # rows per product block; None scales it with sqrt(n)
 MAX_ATTEMPTS = 1 << 32  # insertions one simulation may attempt, main and continuation each
 # er stores the keys u*n+v of its pairs and the sentinel n*n in int64
@@ -451,15 +454,15 @@ class Simulation:
 
     def _insert(self, u: np.ndarray, v: np.ndarray) -> None:
         """Mark the ends of loop-free edges as joined and buffer the edges
-        for the forest. A buffer of CHUNK edges is folded, so it never holds
-        more than one chunk's worth."""
+        for the forest. The buffer is folded first if the edges would take
+        it past FOLD, so it never holds more than FOLD edges."""
         if len(u):
             self._iso[u] = False
             self._iso[v] = False
+            if self._npending + len(u) > FOLD:
+                self._fold()
             self._pending.append((u, v))
             self._npending += len(u)
-            if self._npending >= CHUNK:
-                self._fold()
 
     def _find(self, x: np.ndarray) -> np.ndarray:
         """Roots of the vertices x, which are then pointed at them.
@@ -489,23 +492,11 @@ class Simulation:
         return roots
 
     def _fold(self) -> None:
-        """Merge the buffered edges into the forest, at most FOLD at a time,
-        so the temporaries of a merge stay small whatever was buffered.
-        Each merge gathers views of the buffered arrays, never a copy of the
-        whole buffer."""
-        pending, self._pending, self._npending = self._pending, [], 0
-        group: list[tuple[np.ndarray, np.ndarray]] = []
-        count = 0
-        for u, v in pending:
-            for lo in range(0, len(u), FOLD):
-                part = (u[lo:lo + FOLD], v[lo:lo + FOLD])
-                if count + len(part[0]) > FOLD:
-                    self._merge(group)
-                    group, count = [], 0
-                group.append(part)
-                count += len(part[0])
-        if group:
-            self._merge(group)
+        """Merge the buffered edges, at most FOLD of them, into the forest in
+        one merge, so its temporaries are bounded by FOLD."""
+        if self._pending:
+            self._merge(self._pending)
+            self._pending, self._npending = [], 0
 
     def _merge(self, edges: list[tuple[np.ndarray, np.ndarray]]) -> None:
         """Merge edges into the forest in rounds of vectorized hooking and
@@ -619,8 +610,8 @@ class Simulation:
         earlier round of the same block. The block is cut before the
         first such round; every round before it is exact.
         """
-        block = self._buf[self._pos:self._pos + min(need, self._block)]
-        rows = block.astype(np.int64)  # one widening instead of one per index
+        # one widening instead of one per index
+        rows = self._buf[self._pos:self._pos + min(need, self._block)].astype(np.int64)
         v1, w1 = rows[:, 0], rows[:, 1]
         first = self._iso[v1] & self._iso[w1]
         a = np.where(first, v1, rows[:, 2])
@@ -640,8 +631,7 @@ class Simulation:
                 cut = int(asked[np.argmax(stale)])
         self.e1_rounds += int(np.count_nonzero(first[:cut]))
         keep = real[:cut]
-        # buffered at the rows' width, so int32 rows keep the buffer half as large
-        self._insert(a[:cut][keep].astype(block.dtype), b[:cut][keep].astype(block.dtype))
+        self._insert(a[:cut][keep], b[:cut][keep])
         self.blocks += 1
         self._pos += cut
         return cut
@@ -671,7 +661,7 @@ class Simulation:
         them. The sizes are the negated int64 entries, so a product at
         G = n, which passes 2**31 long before n does, cannot wrap.
         """
-        self._fold()  # initial and continuation edges change the sizes read
+        self._fold()  # continuation edges change the sizes read
         rows = self._buf[self._pos:self._pos + min(need, self._block)].astype(np.int64)
         self._pos += len(rows)
         count = len(rows)

@@ -15,7 +15,7 @@ from unittest import mock
 import pytest
 from conftest import child_env
 
-from percolab import InvalidConfigError, ProcessKind, SizeDistribution
+from percolab import InvalidConfigError, ProcessKind, SizeDistribution, harness
 from percolab.cli import main
 from percolab.harness import (
     CSV_COLUMNS,
@@ -620,6 +620,42 @@ def test_cli_refuses_repeated_growth_deltas(tmp_path, capsys):
     proc = run_cli(capsys, "experiment", "--config", str(p))
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: growth deltas must be distinct")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment, deltas", [("two_phase", [1e-95]),
+                                                ("two_phase", [0.1, 1e-300]),
+                                                ("growth", [1e-170, 1e-165])])
+def test_cli_refuses_a_positive_delta_below_one_insertion(experiment, deltas, tmp_path,
+                                                          capsys, monkeypatch):
+    """two_phase at delta = 1e-95 wrote inf predictions and nan errors, and
+    below 1e-97 divided by zero, after the blocks of any larger delta had
+    run; growth divided by zero in its slope fit. A positive delta under
+    2/n is refused before any block runs."""
+    monkeypatch.setattr(harness, "run_block", lambda *a, **k: pytest.fail("a block ran"))
+    out = tmp_path / "d.csv"
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"experiment": experiment, "n": 1000, "replicates": 2,
+                             "delta_grid": deltas, "out": str(out)}))
+    proc = run_cli(capsys, "experiment", "--config", str(p))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(
+        f"error: {experiment} positive deltas must be at least 2/n = 0.002")
+    assert proc.stdout == ""
+    assert not out.exists()
+
+
+def test_cli_experiment_applies_an_empty_out(tmp_path, capsys):
+    """An empty --out was ignored, and the run wrote to the config's own
+    out, which may be a committed golden. It is applied, and refused as a
+    path that names no file."""
+    out = tmp_path / "c.csv"
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"experiment": "constants", "n": 100, "out": str(out)}))
+    proc = run_cli(capsys, "experiment", "--config", str(p), "--out", "")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: out must name a file, got ''")
+    assert proc.stdout == ""
     assert not out.exists()
 
 

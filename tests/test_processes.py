@@ -387,11 +387,12 @@ def test_product_engine_parity_with_chunk_of_one_row():
 
 def test_product_giant_root_survives_folds_of_every_size():
     """The initial graph is built straight into the forest, and with
-    CHUNK = 1 every continuation edge is folded as it is inserted, so no
-    edge is left buffered when a block starts; after every step the batch
-    engine must still agree with the scalar one."""
+    FOLD = 1 every insert of continuation edges first folds those
+    buffered before it, so a block starts by folding the edges of the
+    last insert, or nothing; after every step the batch engine must still
+    agree with the scalar one."""
     steps = []
-    with mock.patch.object(processes, "CHUNK", 1):
+    with mock.patch.object(processes, "FOLD", 1):
         for engine in processes.ENGINES:
             sim = Simulation(ProcessKind.PRODUCT_RULE, 300, initial="8:1,2:20", seed=4,
                              engine=engine)
@@ -694,6 +695,23 @@ def test_engine_parity_with_short_folds(kind, fold):
             sim.advance_to(1400)  # rule rounds after the continuation
             runs.append((sim.snapshot(), sim.e1_rounds, sim.rng.bit_generator.state))
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("kind", ["bf", "er-wr", "er"])
+def test_the_edge_buffer_never_holds_more_than_fold_edges(kind):
+    """The buffer is folded before an insert would take it past FOLD, so
+    it holds at most FOLD edges after every advance and continuation, also
+    when one advance to t = 1 at n = 2e5 inserts three times that many."""
+    n = 200_000
+    sim = Simulation(ProcessKind.from_token(kind), n, seed=3)
+    steps = [lambda: sim.advance_to(n // 2), lambda: sim.add_er_edges(n // 4),
+             lambda: sim.advance_to(n // 2 + 1)]
+    for step in steps:
+        step()
+        assert 0 < sim._npending <= processes.FOLD
+    assert sim._npending == sum(len(u) for u, _ in sim._pending)
+    sim.snapshot()
+    assert (sim._pending, sim._npending) == ([], 0)
 
 
 def piece_trace(kind, engine):
