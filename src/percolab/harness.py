@@ -67,7 +67,7 @@ GROWTH_LEVEL_DELTA = 0.1
 # the linear law is only established near the transition
 SLOPE_MAX_DELTA = 0.15
 # a block holds each replicate's seed, spec, result and rows at once, 2.5 kB
-# per grid point, and a run draws at least a PIECE of proposals, so 1e5
+# per grid point, and a run draws at least a FOLD of proposals, so 1e5
 # replicates take minutes and hundreds of MB; their standard error is 0.3%
 # of one run's spread
 MAX_REPLICATES = 100_000

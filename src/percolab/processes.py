@@ -5,33 +5,34 @@ comes in fixed-size chunks of CHUNK uniform vertex proposals, and both
 engines consume the identical stream, so traces match exactly across
 engines for a given seed. The scalar reference draws each chunk whole, as
 int64 rows, which is the stream the golden results were made from. The
-batch engine draws a chunk PIECE rows at a time, as the rows are needed;
-consecutive draws give the values, and leave the generator in the state,
-of one draw of the whole chunk. The generator reaches a chunk's end when
-the chunk is spent, when the rows change shape (a two-choice rule's
-quadruples against the pairs of a continuation), which drops the rest of
-the chunk, and when `Simulation.rng` is read for another draw (a Poisson
-count): the batch engine then draws the rest of the chunk first and
-queues it for the proposals that follow.
+batch engine draws a chunk FOLD rows at a time, as the rows are needed,
+as int32, which every vertex below MAX_N fits; numpy draws the same
+values from the stream either way, and consecutive draws give the
+values, and leave the generator in the state, of one draw of the whole
+chunk. The generator reaches a chunk's end when the chunk is spent, when
+the rows change shape (a two-choice rule's quadruples against the pairs
+of a continuation), which drops the rest of the chunk, and when
+`Simulation.rng` is read for another draw (a Poisson count): the batch
+engine then draws the rest of the chunk first and queues it for the
+proposals that follow.
 
 engine='python' is the scalar reference: it walks the rows one by one
 through a union-find forest with an exact moment ledger. engine='auto'
 decides whole slices of rows with numpy on one union-find forest for
 every rule, held in one int64 array (Tarjan and van Leeuwen): a vertex's
-parent below the roots, and minus the component size at each root. The
-rows are drawn as int32 when every vertex fits, which numpy draws from
-the same stream as int64. An initial graph is written into the forest
-directly, each component a star on its first vertex, since only its
-vertex sets matter. The uniform rules and bf buffer the edges they
-insert and fold them into the forest at each snapshot and before the
-buffer would pass FOLD edges, in one merge of rounds of vectorized
-hooking and pointer jumping that free their temporaries; what follows a
-hook, the roots taking in the children's sizes, is stated once for every
-rule. er keeps the sorted keys of the pairs present; the keys of each
-slice of proposals are sorted once, the distinct ones are looked up in
-that array in sorted order, and the new ones are merged in and inserted
-as pairs read back from the keys, since which row of a repeated pair
-inserts it changes no component. The two-choice rules decide speculative
+parent below the roots, and minus the component size at each root. An
+initial graph is written into the forest directly, each component a star
+on its first vertex, since only its vertex sets matter. The uniform
+rules and bf buffer the edges they insert and fold them into the forest
+at each snapshot and before the buffer would pass FOLD edges, in one
+merge of rounds of vectorized hooking and pointer jumping that free
+their temporaries; what follows a hook, the roots taking in the
+children's sizes, is stated once for every rule. er keeps the sorted
+keys of the pairs present; the keys of each slice of proposals are
+sorted once, the distinct ones are looked up in that array in sorted
+order, and the new ones are merged in and inserted as pairs read back
+from the keys, since which row of a repeated pair inserts it changes no
+component. The two-choice rules decide speculative
 blocks of about sqrt(n) rows on the state at block start: bf on the
 isolation bitmap, and the product rule on exact component sizes. For the
 product rule each block takes as its giant the largest component it
@@ -48,8 +49,7 @@ bounded by FOLD whatever n and the sizes are.
 
 One run attempts at most MAX_ATTEMPTS insertions; asking for more
 raises InvalidConfigError, since no run of that length could finish.
-An er simulation refuses n above ER_MAX_N (3,037,000,499), whose pair
-keys would overflow int64.
+A simulation refuses n above MAX_N before it allocates anything.
 
 Process time follows t = 2m/n where m counts attempted insertions: every
 two-choice round, a loop too, and every uniform proposal but a loop. At
@@ -80,15 +80,11 @@ __all__ = [
 ]
 
 CHUNK = 1 << 18  # proposal rows of one chunk of the stream
-PIECE = 1 << 15  # proposal rows drawn per generator call, a chunk's pieces in turn
-FOLD = 1 << 15  # buffered edges merged, or vertices scanned, at a time
-# The edge buffer is folded before it would pass FOLD edges. The edges
-# inserted at once come from one slice of rows, at most a PIECE of them, so
-# with PIECE <= FOLD a merge never takes more than FOLD edges.
+FOLD = 1 << 15  # proposal rows drawn, buffered edges merged, or vertices scanned, at a time
 PRODUCT_BLOCK: int | None = None  # rows per product block; None scales it with sqrt(n)
 MAX_ATTEMPTS = 1 << 32  # insertions one simulation may attempt, main and continuation each
-# er stores the keys u*n+v of its pairs and the sentinel n*n in int64
-ER_MAX_N = math.isqrt(np.iinfo(np.int64).max)
+# vertices fit int32 rows, and er's keys u*n+v and sentinel n*n fit int64
+MAX_N = 1 << 31
 ENGINES = ("auto", "python")
 
 
@@ -236,13 +232,8 @@ class Simulation:
 
     def __init__(self, kind: ProcessKind, n: int, initial: InitialGraphSpec | str | None = None,
                  seed: int = 0, engine: str = "auto"):
-        if n < 2:
-            raise InvalidConfigError("n must be >= 2")
-        if kind is ProcessKind.ER_WITHOUT_REPLACEMENT and n > ER_MAX_N:
-            raise InvalidConfigError(
-                f"er keeps its pair keys below n*n in int64, so n must be at most "
-                f"{ER_MAX_N}, got {n}"
-            )
+        if not 2 <= n <= MAX_N:
+            raise InvalidConfigError(f"n must lie in [2, {MAX_N}], got {n}")
         if engine not in ENGINES:
             raise InvalidConfigError(f"unknown engine {engine!r}")
         if seed < 0:
@@ -341,15 +332,15 @@ class Simulation:
         return self._rng
 
     def _piece(self) -> np.ndarray:
-        """Draw the next piece of the current chunk: at most PIECE rows for
-        the batch engine, and for the scalar reference the whole chunk as
+        """Draw the next piece of the current chunk: at most FOLD int32 rows
+        for the batch engine, and for the scalar reference the whole chunk as
         int64 rows, the draw the golden results were made with."""
         if self._batch:
-            rows = min(self._undrawn, PIECE)
-            self._undrawn -= rows
-            return _draw(self._rng, self.n, rows, self._cols)
-        rows, self._undrawn = self._undrawn, 0
-        return self._rng.integers(0, self.n, size=(rows, self._cols), dtype=np.int64)
+            rows, dtype = min(self._undrawn, FOLD), np.int32
+        else:
+            rows, dtype = self._undrawn, np.int64
+        self._undrawn -= rows
+        return self._rng.integers(0, self.n, size=(rows, self._cols), dtype=dtype)
 
     def _refill(self, cols: int) -> None:
         if self._pos < len(self._buf) and self._buf.shape[1] == cols:
@@ -383,10 +374,7 @@ class Simulation:
         if m_target < self.m:
             raise InvalidConfigError("cannot rewind a simulation")
         self._check_target(m_target)
-        cols = 4 if self.kind.two_choice else 2
-        while self.m < m_target:
-            self._refill(cols)
-            self.m += self._consume(self.kind, m_target - self.m)
+        self.m += self._attempt(self.kind, m_target - self.m)
 
     def add_er_edges(self, count: int) -> None:
         """Attempt `count` uniform with-replacement edges on the current graph.
@@ -394,25 +382,28 @@ class Simulation:
         Continuation segment for stop-restart constructions; tracked in
         extra_attempts, not in the main process clock m.
         """
-        left = int(count)
-        _check_attempts(self.extra_attempts + left)
-        while left > 0:
-            self._refill(2)
-            done = self._consume(ProcessKind.ER_WITH_REPLACEMENT, left)
-            left -= done
-            self.extra_attempts += done
+        count = int(count)
+        _check_attempts(self.extra_attempts + count)
+        self.extra_attempts += self._attempt(ProcessKind.ER_WITH_REPLACEMENT, count)
 
-    def _consume(self, kind: ProcessKind, need: int) -> int:
-        """Attempt up to `need` insertions from the buffered chunk; returns
-        the number attempted. Every engine consumes exactly the rows the
-        scalar loop would."""
-        if not self._batch:
-            return self._consume_python(kind, need)
-        if kind is ProcessKind.BOUNDED_SIZE:
-            return self._consume_bf(need)
-        if kind is ProcessKind.PRODUCT_RULE:
-            return self._consume_product(need)
-        return self._consume_uniform(need, kind is ProcessKind.ER_WITHOUT_REPLACEMENT)
+    def _attempt(self, kind: ProcessKind, count: int) -> int:
+        """Attempt `count` insertions under `kind` from the proposal stream,
+        a buffered piece at a time, and return how many were attempted.
+        Every engine consumes exactly the rows the scalar loop would."""
+        cols = 4 if kind.two_choice else 2
+        done = 0
+        while done < count:
+            self._refill(cols)
+            need = count - done
+            if not self._batch:
+                done += self._consume_python(kind, need)
+            elif kind is ProcessKind.BOUNDED_SIZE:
+                done += self._consume_bf(need)
+            elif kind is ProcessKind.PRODUCT_RULE:
+                done += self._consume_product(need)
+            else:
+                done += self._consume_uniform(need, kind is ProcessKind.ER_WITHOUT_REPLACEMENT)
+        return done
 
     def _consume_python(self, kind: ProcessKind, need: int) -> int:
         forest, ledger = self.forest, self.ledger
@@ -760,14 +751,6 @@ class Simulation:
             if (dist.c1, dist.n1) != (self.ledger.c1_size, self.ledger.n1_isolated):
                 raise AssertionError("ledger extremes and histogram disagree")
         return Snapshot(m=self.m, dist=dist)
-
-
-def _draw(rng: np.random.Generator, n: int, rows: int, cols: int) -> np.ndarray:
-    """rows rows of cols uniform vertices below n: int32 when they fit, else
-    int64. numpy draws the same values from the same stream either way, and
-    consecutive calls draw what one call for all their rows would."""
-    dtype = np.int32 if n <= 1 << 31 else np.int64
-    return rng.integers(0, n, size=(rows, cols), dtype=dtype)
 
 
 def _check_attempts(m: int) -> None:

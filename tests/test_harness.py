@@ -9,6 +9,7 @@ import pickle
 import resource
 import subprocess
 import sys
+import textwrap
 import time
 from unittest import mock
 
@@ -29,6 +30,7 @@ from percolab.harness import (
     write_csv,
     write_meta,
 )
+from percolab.processes import ENGINES, MAX_N
 
 HEADER = "experiment,run_id,seed,n,process,t,delta,observable,value,prediction,pred_source,abs_err,rel_err,stderr"
 
@@ -697,15 +699,15 @@ def _cap_address_space():
 
 
 @pytest.mark.parametrize("args", [
-    ("simulate", "--process", "er-wr", "--n", "1000000000000", "--t", "0.5", "--seed", "1"),
+    ("simulate", "--process", "er-wr", "--n", "2000000000", "--t", "0.5", "--seed", "1"),
     ("experiment", "--config", "{tmp}/huge.json"),
 ])
 def test_cli_out_of_memory_exits_2_without_a_traceback(tmp_path, args):
-    """An n too large to allocate (7.28 TiB of forest) is a usage error. The
-    child's address space is capped at 4 GiB, so the allocation fails at
-    once instead of reaching for the machine's memory."""
+    """An n below MAX_N too large to allocate (16 GB of forest) is a usage
+    error. The child's address space is capped at 4 GiB, so the allocation
+    fails at once instead of reaching for the machine's memory."""
     (tmp_path / "huge.json").write_text(json.dumps(
-        {"experiment": "moments", "n": 10**12, "t_grid": [0.5],
+        {"experiment": "moments", "n": 2_000_000_000, "t_grid": [0.5],
          "out": str(tmp_path / "m.csv")}))
     proc = cli(*(a.replace("{tmp}", str(tmp_path)) for a in args),
                preexec_fn=_cap_address_space)
@@ -715,16 +717,70 @@ def test_cli_out_of_memory_exits_2_without_a_traceback(tmp_path, args):
     assert not (tmp_path / "m.csv").exists()
 
 
+@pytest.mark.parametrize("args", [
+    *(("simulate", "--process", "bf", "--n", n, "--t", "0.5", "--seed", "1", "--engine", engine)
+      for n in ("100000000000000000000", "5000000000000000000", "2147483649")
+      for engine in ENGINES),
+    ("experiment", "--config", "{tmp}/huge.json"),
+])
+def test_cli_refuses_n_above_max_n(tmp_path, args):
+    """An n past numpy's limits ended in a traceback, or in an out-of-memory
+    error on n = MAX_N + 1. Every n above MAX_N is refused with one message
+    on both engines and through an experiment, before any run. The child's
+    address space is capped as above."""
+    out = tmp_path / "m.csv"
+    (tmp_path / "huge.json").write_text(json.dumps(
+        {"experiment": "moments", "n": 10**20, "t_grid": [0.5], "out": str(out)}))
+    proc = cli(*(a.replace("{tmp}", str(tmp_path)) for a in args),
+               preexec_fn=_cap_address_space)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: n must lie in [2, 2147483648], got ")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    assert not out.exists()
+
+
 def test_cli_er_refuses_n_whose_pair_keys_overflow_int64():
-    """n = 3037000500 is one above isqrt(int64 max). The child's address
+    """n = 3037000500 is one above isqrt(int64 max), so er's pair keys
+    would overflow; it lies above MAX_N and is refused. The child's address
     space is capped as above, so a run that tried to allocate would fail
     with another message."""
     proc = cli("simulate", "--process", "er", "--n", "3037000500", "--t", "0.5",
                "--seed", "1", preexec_fn=_cap_address_space)
     assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.startswith("error: er keeps its pair keys")
-    assert "at most 3037000499" in proc.stderr
+    assert proc.stderr.startswith("error: n must lie in [2, 2147483648], got 3037000500")
     assert "Traceback" not in proc.stderr
+
+def test_every_rule_refuses_n_above_max_n_before_allocating():
+    """n = MAX_N + 1 is refused for every rule and both engines before any
+    array of n entries is made: in a child whose address space is capped
+    as above, each construction peaks below 1 MiB (numpy reports its
+    buffers to tracemalloc), where a forest of that n would take 16 GiB.
+    Below the bound every vertex fits an int32 row and every er key u*n+v,
+    with the sentinel n*n, fits int64."""
+    assert MAX_N - 1 <= 2**31 - 1 and MAX_N * MAX_N <= 2**63 - 1
+    code = textwrap.dedent("""
+        import json, tracemalloc
+        from percolab import InvalidConfigError, ProcessKind, Simulation, processes
+        seen = []
+        for kind in ProcessKind:
+            for engine in processes.ENGINES:
+                tracemalloc.start()
+                try:
+                    Simulation(kind, processes.MAX_N + 1, engine=engine)
+                except InvalidConfigError as exc:
+                    seen.append([str(exc), tracemalloc.get_traced_memory()[1]])
+                tracemalloc.stop()
+        print(json.dumps(seen))
+    """)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=600, env=child_env(), preexec_fn=_cap_address_space)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert len(seen) == len(ProcessKind) * len(ENGINES)
+    for message, peak in seen:
+        assert message == "n must lie in [2, 2147483648], got 2147483649"
+        assert peak < 1 << 20
 
 
 def test_output_under_a_regular_file_is_refused_before_the_run(tmp_path):

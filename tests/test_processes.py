@@ -659,29 +659,38 @@ def test_batch_snapshot_checks_itself():
                 sim.snapshot()
 
 
-@pytest.mark.parametrize("n", [2, 100, 200_000, 2**31 - 1, 2**31, 2**31 + 1])
+@pytest.mark.parametrize("n", [2, 100, 200_000, 2**31 - 1, 2**31])
 def test_proposal_rows_are_drawn_narrow_from_the_int64_stream(n):
-    """The engine draws its rows as int32 whenever every vertex fits, a
-    chunk in consecutive pieces. They must be the rows, and leave the
-    generator in the state, of the whole int64 chunk the golden results
-    were made with, whether in PIECE pieces or in odd ones."""
-    chunk, piece = processes.CHUNK, processes.PIECE
+    """The batch engine draws its rows as int32, which every vertex below
+    MAX_N fits, a chunk in consecutive pieces. They must be the rows, and
+    leave the generator in the state, of the whole int64 chunk the golden
+    results were made with, whether in FOLD pieces or in odd ones. The
+    pieces are drawn by a small simulation given the large n afterwards,
+    since a forest of 2^31 vertices would take 16 GiB."""
+    chunk, fold = processes.CHUNK, processes.FOLD
     for cols in (2, 4):
-        for sizes in ([chunk], [piece] * (chunk // piece), [1, 7, piece - 8, chunk - piece]):
-            narrow, wide = np.random.default_rng(n), np.random.default_rng(n)
-            pieces = [processes._draw(narrow, n, rows, cols) for rows in sizes]
-            assert {p.dtype for p in pieces} == {np.dtype(np.int32 if n <= 2**31 else np.int64)}
+        for sizes in ([chunk], [fold] * (chunk // fold), [1, 7, fold - 8, chunk - fold]):
+            sim = Simulation(ProcessKind.ER_WITH_REPLACEMENT, 2, seed=n)
+            sim.n, sim._cols, sim._undrawn = n, cols, chunk
+            pieces = []
+            for rows in sizes:
+                with mock.patch.object(processes, "FOLD", rows):
+                    pieces.append(sim._piece())
+            assert sim._undrawn == 0
+            assert [p.shape for p in pieces] == [(rows, cols) for rows in sizes]
+            assert {p.dtype for p in pieces} == {np.dtype(np.int32)}
+            wide = np.random.default_rng(n)
             want = wide.integers(0, n, size=(chunk, cols), dtype=np.int64)
             assert np.array_equal(np.concatenate(pieces), want)
-            assert narrow.bit_generator.state == wide.bit_generator.state
+            assert sim._rng.bit_generator.state == wide.bit_generator.state
 
 
-@pytest.mark.parametrize("fold", [1, 3, 64])
+@pytest.mark.parametrize("fold", [1, 3, 7, 64])
 @pytest.mark.parametrize("kind", [k.value for k in ALL_KINDS])
 def test_engine_parity_with_short_folds(kind, fold):
-    """Buffered edges merged into the forest a few at a time, from an
-    initial graph, across records and a continuation (which the product
-    rule folds before its next block)."""
+    """Rows drawn and buffered edges merged into the forest a few at a
+    time, from an initial graph, across records and a continuation (which
+    the product rule folds before its next block)."""
     sched = dict(kind=kind, n=2000, initial="3:5,2:10", seed=17, schedule=(300, 900, 1400),
                  extra=400)
     runs = []
@@ -736,19 +745,20 @@ def piece_trace(kind, engine):
     return seen, (offset, stream_offset(sim))
 
 
-@pytest.mark.parametrize("piece, chunk", [(1, 1000), (7, 1000), (64, 1000), (processes.PIECE, 100)])
+@pytest.mark.parametrize("fold, chunk", [(1, 1000), (3, 1000), (7, 1000), (64, 1000),
+                                         (processes.FOLD, 100)])
 @pytest.mark.parametrize("kind", [k.value for k in ALL_KINDS])
-def test_engine_parity_across_piece_boundaries(kind, piece, chunk):
-    """Chunks drawn in pieces of 1, 7 and 64 rows, which do not divide the
-    chunk, and chunks shorter than a piece. Both engines must agree, rows
-    read included, and the pieces must not change the stream: what the
-    runs observe equals what they observe when each chunk is drawn in one
-    piece."""
+def test_engine_parity_across_piece_boundaries(kind, fold, chunk):
+    """Chunks drawn in pieces of 1, 3, 7 and 64 rows, which do not divide
+    the chunk, and chunks shorter than a piece. Both engines must agree,
+    rows read included, and the pieces must not change the stream: what
+    the runs observe equals what they observe when each chunk is drawn in
+    one piece."""
     with mock.patch.object(processes, "CHUNK", chunk):
-        with mock.patch.object(processes, "PIECE", piece):
+        with mock.patch.object(processes, "FOLD", fold):
             batch = piece_trace(kind, "auto")
             assert batch == piece_trace(kind, "python")
-        with mock.patch.object(processes, "PIECE", chunk):
+        with mock.patch.object(processes, "FOLD", chunk):
             whole, _ = piece_trace(kind, "auto")
     assert batch[0] == whole
 
@@ -887,15 +897,15 @@ def test_attempts_beyond_the_limit_raise():
 
 
 def test_er_refuses_n_whose_keys_overflow_int64_before_allocating():
-    """er keeps the keys u*n+v and the sentinel n*n in int64; one n above
-    the bound is refused before any array of n entries is made (numpy
-    reports its buffers to tracemalloc)."""
-    assert processes.ER_MAX_N == 3_037_000_499
-    assert processes.ER_MAX_N ** 2 <= np.iinfo(np.int64).max < (processes.ER_MAX_N + 1) ** 2
+    """er keeps the keys u*n+v and the sentinel n*n in int64; an n whose
+    keys would overflow lies above MAX_N and is refused before any array of
+    n entries is made (numpy reports its buffers to tracemalloc)."""
+    n = math.isqrt(np.iinfo(np.int64).max) + 1
+    assert processes.MAX_N ** 2 <= np.iinfo(np.int64).max < n * n
     tracemalloc.start()
     try:
-        with pytest.raises(InvalidConfigError, match="at most 3037000499"):
-            Simulation(ProcessKind.ER_WITHOUT_REPLACEMENT, processes.ER_MAX_N + 1)
+        with pytest.raises(InvalidConfigError, match=rf"\[2, 2147483648\], got {n}$"):
+            Simulation(ProcessKind.ER_WITHOUT_REPLACEMENT, n)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
