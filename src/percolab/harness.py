@@ -71,8 +71,8 @@ SLOPE_MAX_DELTA = 0.15
 # replicates take minutes and hundreds of MB; their standard error is 0.3%
 # of one run's spread
 MAX_REPLICATES = 100_000
-# each worker is a thread holding one simulation, a forest of up to 13
-# bytes per vertex, at a time; the pool starts min(workers, replicates)
+# each worker is a thread holding one simulation, a forest of 9 bytes per
+# vertex, at a time; the pool starts min(workers, replicates)
 # threads, and on the 2 cores measured more than one gained nothing
 MAX_WORKERS = 64
 
@@ -270,6 +270,7 @@ def stop_restart(spec: RunSpec, continue_t: float) -> tuple[TraceRecord, float]:
     sim = Simulation(spec.kind, spec.n, initial=spec.initial, seed=spec.seed)
     sim.advance_to(math.floor(spec.n * spec.t_end / 2))
     stopped = sim.snapshot().trace(2 * sim.m / spec.n)
+    sim.start_pairs()  # so the count's draw queues no bf rows that the pairs would drop
     extra = poisson_edge_count((1.0 - stopped.x1 * stopped.x1) * continue_t, spec.n, sim.rng)
     sim.add_er_edges(extra)
     return stopped, sim.snapshot().dist.c1 / spec.n

@@ -14,7 +14,9 @@ the rows change shape (a two-choice rule's quadruples against the pairs
 of a continuation), which drops the rest of the chunk, and when
 `Simulation.rng` is read for another draw (a Poisson count): the batch
 engine then draws the rest of the chunk first and queues it for the
-proposals that follow.
+proposals that follow. A stop before a continuation switches to pairs
+first (`start_pairs`), so the queue only ever holds rows that are read:
+er-poisson's, or the pairs a uniform rule's continuation reads on.
 
 engine='python' is the scalar reference: it walks the rows one by one
 through a union-find forest with an exact moment ledger. engine='auto'
@@ -34,7 +36,10 @@ order, and the new ones are merged in and inserted as pairs read back
 from the keys, since which row of a repeated pair inserts it changes no
 component. The two-choice rules decide speculative
 blocks of about sqrt(n) rows on the state at block start: bf on the
-isolation bitmap, and the product rule on exact component sizes. For the
+isolation bitmap, and the product rule on exact component sizes. A block
+marks the vertices or roots it touches in their forest entries, below
+-n where no entry lies, and writes the entries back before anything
+else reads the forest, so every rule holds 9 bytes a vertex. For the
 product rule each block takes as its giant the largest component it
 reads; one vectorized pass applies every round of the block whose other
 components no earlier pending round reads and whose choice cannot change
@@ -81,7 +86,6 @@ __all__ = [
 
 CHUNK = 1 << 18  # proposal rows of one chunk of the stream
 FOLD = 1 << 15  # proposal rows drawn, buffered edges merged, or vertices scanned, at a time
-PRODUCT_BLOCK: int | None = None  # rows per product block; None scales it with sqrt(n)
 MAX_ATTEMPTS = 1 << 32  # insertions one simulation may attempt, main and continuation each
 # vertices fit int32 rows, and er's keys u*n+v and sentinel n*n fit int64
 MAX_N = 1 << 31
@@ -310,13 +314,8 @@ class Simulation:
             # meets a vertex (bf) or a component (product) an earlier round of
             # it touched with probability of order L*L/n, so O(sqrt(n)) rows
             # keep those rounds rare and the per-block overhead small.
-            if self.kind is ProcessKind.BOUNDED_SIZE:
-                self._block = max(2, int(0.7 * math.sqrt(n)))
-            else:
-                self._block = PRODUCT_BLOCK or max(2, int(3 * math.sqrt(n)))
-            # round numbers within a block fit int32; np.minimum.at will not
-            # write int64 values into it, so the rounds written are int32 too
-            self._stamp = np.full(n, self._block, dtype=np.int32)
+            scale = 0.7 if self.kind is ProcessKind.BOUNDED_SIZE else 3
+            self._block = max(2, int(scale * math.sqrt(n)))
 
     # -- proposal stream -------------------------------------------------
 
@@ -325,7 +324,9 @@ class Simulation:
         """The generator, with the current chunk drawn to its end, so that a
         draw on it (a Poisson count) comes where it came when a chunk was
         drawn whole. The batch engine queues the rest of the chunk for the
-        proposals that follow; the scalar reference, which draws whole
+        proposals that follow, which read it: er-poisson's, or a uniform
+        rule's continuation, since a two-choice rule's stop drops its chunk
+        first (`start_pairs`). The scalar reference, which draws whole
         chunks, has none left to draw."""
         while self._undrawn:
             self._ahead.append(self._piece())
@@ -342,15 +343,26 @@ class Simulation:
         self._undrawn -= rows
         return self._rng.integers(0, self.n, size=(rows, self._cols), dtype=dtype)
 
-    def _refill(self, cols: int) -> None:
-        if self._pos < len(self._buf) and self._buf.shape[1] == cols:
-            return
+    def start_pairs(self) -> None:
+        """Switch the proposals to pairs, as the first draw of a continuation
+        (`add_er_edges`) would. The rest of a two-choice rule's chunk, drawn
+        or not, is dropped here, so a read of `rng` for the continuation's
+        count queues none of it."""
+        self._reshape(2)
+
+    def _reshape(self, cols: int) -> None:
         if cols != self._cols:
             # switching proposal shape drops the rest of the chunk, drawn or not
+            self._buf, self._pos = np.empty((0, 0), dtype=np.int64), 0
             self._ahead.clear()
             while self._undrawn:
                 self._piece()
             self._cols = cols
+
+    def _refill(self, cols: int) -> None:
+        if self._pos < len(self._buf) and self._buf.shape[1] == cols:
+            return
+        self._reshape(cols)
         if self._ahead:
             self._buf = self._ahead.popleft()
         else:
@@ -599,7 +611,10 @@ class Simulation:
         Isolation only ever ends, so a round can be decided wrongly only
         when it takes the first edge although v1 or w1 was joined by an
         earlier round of the same block. The block is cut before the
-        first such round; every round before it is exact.
+        first such round; every round before it is exact. Those vertices
+        were isolated at block start, so only an end isolated then is
+        marked: its entry, -1, holds the earliest round joining it, below
+        -n, until the asked ends are read, and -1 again after.
         """
         # one widening instead of one per index
         rows = self._buf[self._pos:self._pos + min(need, self._block)].astype(np.int64)
@@ -613,11 +628,12 @@ class Simulation:
         if len(asked) and asked[-1] > 0:
             when = np.flatnonzero(real)
             ends = np.concatenate((a[when], b[when]))
-            stamp = self._stamp  # earliest round of the block joining each vertex
-            rounds = when.astype(np.int32)
-            np.minimum.at(stamp, ends, np.concatenate((rounds, rounds)))
-            stale = (stamp[v1[asked]] < asked) | (stamp[w1[asked]] < asked)
-            stamp[ends] = self._block
+            lone = np.flatnonzero(self._iso[ends])  # the ends isolated at block start
+            ends = ends[lone]
+            parent, base = self._parent, -self.n - self._block  # round i is base + i
+            np.minimum.at(parent, ends, np.concatenate((when, when))[lone] + base)
+            stale = np.minimum(parent[v1[asked]], parent[w1[asked]]) < asked + base
+            parent[ends] = -1
             if stale.any():
                 cut = int(asked[np.argmax(stale)])
         self.e1_rounds += int(np.count_nonzero(first[:cut]))
@@ -637,48 +653,53 @@ class Simulation:
         with it hooks the other root under it, and its size only grows. Each
         pass finds the live roots of the rounds left and calls a round free
         when none of its roots but the giant's was read by an earlier round
-        of `left`. Every round applied so far merged only roots that no
-        earlier unapplied round read, so a free round's other components
-        have the sizes they have in row order. Only the giant's size G may
-        differ: in row order it is the block-start size g0 plus the growth
-        from every earlier round, known exactly for the rounds already
-        applied. Each product has the form c*G**d, so the choice is monotone
-        in G, and a free round whose choice is the same at that lower end
-        and at G = n is exact. The first round of `left` follows only
-        applied rounds, so its lower end is the giant's true size: it is
-        always exact, and the loop ends. The exact rounds are applied at
-        once by one hook, whose children no other round of the pass reads;
-        their entries are added into the tops before the hook writes over
-        them. The sizes are the negated int64 entries, so a product at
-        G = n, which passes 2**31 long before n does, cannot wrap.
+        of `left`: each root read holds the earliest turn reading it, below
+        -n, in its entry until the turns are read back. Every round applied
+        so far merged only roots that no earlier unapplied round read, so a
+        free round's other components have the sizes they have in row order.
+        Only the giant's size G may differ: in row order it is the
+        block-start size g0 plus the growth from every earlier round, known
+        exactly for the rounds already applied. Each product has the form
+        c*G**d, so the choice is monotone in G, and a free round whose
+        choice is the same at that lower end and at G = n is exact. The
+        first round of `left` follows only applied rounds, so its lower end
+        is the giant's true size: it is always exact, and the loop ends. The
+        exact rounds are applied at once by one hook, whose children no
+        other round of the pass reads; their entries are added into the tops
+        before the hook writes over them. The products multiply the int64
+        entries, minus the sizes, in pairs, so a product at G = n, which
+        passes 2**31 long before n does, cannot wrap.
         """
         self._fold()  # continuation edges change the sizes read
         rows = self._buf[self._pos:self._pos + min(need, self._block)].astype(np.int64)
         self._pos += len(rows)
         count = len(rows)
         parent = self._parent
-        stamp = self._stamp  # earliest round of the pass reading each root
         big = -1  # the block's giant, picked by the first pass
         grow = np.zeros(count, dtype=np.int64)  # giant growth per applied round
         left = np.arange(count)
+        # turn i of a pass, for each of its four roots: -n - count + i, below -n
+        turns = np.repeat(np.arange(-self.n - count, -self.n), 4)
         while len(left):
             quads = rows[left]
             roots = self._find(quads.ravel())
+            entries = parent[roots]  # minus the roots' sizes
             if big < 0:
-                big = roots[np.argmin(parent[roots])]
-                g0 = -parent[big]
-            turn = np.repeat(np.arange(len(left), dtype=np.int32), 4)
-            np.minimum.at(stamp, roots, turn)
-            fresh = stamp[roots] == turn
-            stamp[roots] = self._block
-            roots = roots.reshape(-1, 4)
+                at = np.argmin(entries)
+                big, g0 = roots[at], -entries[at]
+            # each root read takes the earliest turn reading it, and its entry
+            # back once the turns are compared, before any hook
+            turn = turns[:len(roots)]
+            np.minimum.at(parent, roots, turn)
+            fresh = (parent[roots] == turn).reshape(-1, 4)
+            parent[roots] = entries
+            roots, entries = roots.reshape(-1, 4), entries.reshape(-1, 4)
             giant = roots == big
-            free = (fresh.reshape(-1, 4) | giant).all(axis=1)
-            sizes = -parent[roots]
+            free = (fresh | giant).all(axis=1)
             # rounds still in `left` have grown nothing, so the running sum
             # at a round is the growth from the applied rounds before it
-            low = np.where(giant, g0 + np.cumsum(grow)[left, None], sizes)
-            high = np.where(giant, self.n, sizes)
+            low = np.where(giant, -g0 - np.cumsum(grow)[left, None], entries)
+            high = np.where(giant, -self.n, entries)
             first = low[:, 0] * low[:, 1] >= low[:, 2] * low[:, 3]
             exact = free & (first == (high[:, 0] * high[:, 1] >= high[:, 2] * high[:, 3]))
             exact[0] = True

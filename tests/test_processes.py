@@ -230,13 +230,16 @@ def test_poisson_edge_count_moments():
     assert np.var(draws) == pytest.approx(want, rel=0.15)
 
 
-def stream_trace(kind, n, initial="", seed=0, engine="auto", schedule=(), extra=0):
+def stream_trace(kind, n, initial="", seed=0, engine="auto", schedule=(), extra=0, block=None):
     """Everything a Simulation exposes after a schedule of advances and
     snapshots, then an optional continuation: the snapshots, the
     first-edge count, both clocks, the stream offset and the generator
-    state."""
+    state. `block` sets the rows of a two-choice rule's batch block in
+    place of the one scaled with sqrt(n)."""
     sim = Simulation(ProcessKind.from_token(kind), n, initial=initial, seed=seed,
                      engine=engine)
+    if block and sim.kind.two_choice:
+        sim._block = block
     snaps = []
     for m in schedule:
         sim.advance_to(m)
@@ -411,8 +414,8 @@ def product_on_rows(rows, n, initial):
     per engine and the batch simulation."""
     out = []
     for engine in ("auto", "python"):
-        with mock.patch.object(processes, "PRODUCT_BLOCK", 64):
-            sim = Simulation(ProcessKind.PRODUCT_RULE, n, initial=initial, engine=engine)
+        sim = Simulation(ProcessKind.PRODUCT_RULE, n, initial=initial, engine=engine)
+        sim._block = 64
         sim._buf = np.array(rows, dtype=np.int64)
         sim.advance_to(len(rows))
         out.append((sim.snapshot(), sim.e1_rounds, rows_read(sim, rows)))
@@ -452,8 +455,8 @@ def test_product_chain_applies_one_round_per_pass():
     ]
     out = []
     for engine in ("auto", "python"):
-        with mock.patch.object(processes, "PRODUCT_BLOCK", 64):
-            sim = Simulation(ProcessKind.PRODUCT_RULE, 30, engine=engine)
+        sim = Simulation(ProcessKind.PRODUCT_RULE, 30, engine=engine)
+        sim._block = 64
         sim._buf = np.array(rows, dtype=np.int64)
         if engine == "auto":
             with mock.patch.object(sim, "_find", wraps=sim._find) as find:
@@ -538,8 +541,8 @@ def test_product_snapshot_checks_its_union_find():
         [(0, 1, 0, 1)],  # the second merge of 0 and 1 in the first pass
         [(1, 2, 4, 5), (0, 1, 6, 7)],  # 1 was read by the round before: the second pass
     ):
-        with mock.patch.object(processes, "PRODUCT_BLOCK", 64):
-            sim = Simulation(ProcessKind.PRODUCT_RULE, 8)
+        sim = Simulation(ProcessKind.PRODUCT_RULE, 8)
+        sim._block = 64
         sim._buf = np.array([(0, 1, 2, 3), *later], dtype=np.int64)
         sim.advance_to(1)
         sim.snapshot()
@@ -548,6 +551,103 @@ def test_product_snapshot_checks_its_union_find():
         sim.advance_to(1 + len(later))  # the forest counts a second merge of 0 and 1
         with pytest.raises(AssertionError):
             sim.snapshot()
+
+
+def forest_states(sim, *names):
+    """Wrap the batch simulation's methods `names` so that each call appends
+    a copy of the forest as it is called and another as it returns; returns
+    that list."""
+    states = []
+
+    def watch(name):
+        inner = getattr(sim, name)
+
+        def wrapped(*args):
+            states.append(sim._parent.copy())
+            out = inner(*args)
+            states.append(sim._parent.copy())
+            return out
+        setattr(sim, name, wrapped)
+
+    for name in names:
+        watch(name)
+    return states
+
+
+def check_forest_entries(before, after):
+    """Every entry is a parent index in [0, n) or minus a component size in
+    [-n, -1], each root holds minus the size of its tree, the components
+    only merged, and an entry changed only at a root (hooked, or a top that
+    took in its children) or at a vertex now pointing at its root."""
+    n = len(after)
+    assert (((after >= 0) & (after < n)) | ((after >= -n) & (after <= -1))).all()
+    roots = np.arange(n)
+    while (up := after[roots] >= 0).any():
+        roots = np.where(up, after[roots], roots)
+    at = np.flatnonzero(after < 0)
+    assert (after[at] == -np.bincount(roots, minlength=n)[at]).all()
+    old = np.arange(n)
+    while (up := before[old] >= 0).any():
+        old = np.where(up, before[old], old)
+    assert (roots == roots[old]).all()
+    moved = np.flatnonzero(after != before)
+    assert ((before[moved] < 0) | (after[moved] == roots[moved])).all()
+
+
+def test_two_choice_blocks_leave_no_trace_in_the_forest():
+    """A bf block marks the ends it joins, and a product pass the roots it
+    reads, in their forest entries, and writes the entries back before
+    anything else reads them. bf's first block offers a child and a root
+    of size 2 as a second edge and is cut at a stale round, whose first
+    edge the block already joined; it leaves the forest as it was. The
+    product block reads 12's root in rounds 1, 2, 4, 5 and 6 and the
+    giant in rounds 0, 4, 5, 6 and 7, over several passes. After
+    each block and pass every entry is a parent or minus a size, and only
+    the roots hooked, the tops and vertices pointed at their root moved."""
+    bf_rows = [
+        (0, 12, 1, 3),  # 0 is joined: the second edge joins the child 1 and the root 3
+        (10, 11, 5, 6),  # the first edge joins 10 and 11
+        (5, 13, 14, 15),  # the first edge joins 5 and 13, which no earlier round joined
+        (11, 16, 7, 8),  # stale: round 1 joined 11, so the block is cut here
+        (17, 18, 17, 19),  # a new block: 17 and 18 are isolated
+    ]
+    sims = []
+    for engine in processes.ENGINES:
+        sim = Simulation(ProcessKind.BOUNDED_SIZE, 20, initial="3:1,2:1", engine=engine)
+        sim._buf = np.array(bf_rows, dtype=np.int64)
+        sims.append(sim)
+    sim = sims[0]
+    sim._block = 64
+    assert sim._parent[1] == 0 and sim._parent[3] == -2
+    states = forest_states(sim, "_consume_bf")
+    for s in sims:
+        s.advance_to(len(bf_rows))
+    assert (sim.blocks, len(states), sim.e1_rounds) == (2, 4, 3)
+    for before, after in zip(states[::2], states[1::2]):
+        assert (before == after).all()  # bf buffers its edges
+        check_forest_entries(before, after)
+    assert (sim.snapshot(), sim.e1_rounds) == (sims[1].snapshot(), sims[1].e1_rounds)
+
+    product_rows = [
+        (8, 9, 12, 13),  # 3*3 > 1*1: the first edge, inside the giant
+        (12, 13, 14, 15),  # tie: 12-13
+        (16, 17, 12, 14),  # 1*1 < 2*1: 14 joins {12, 13}
+        (18, 19, 14, 15),  # 1*1 < 3*1: 15 joins
+        (12, 20, 8, 21),  # 4*1 > 3*1: 20 joins the component of 4
+        (8, 22, 12, 23),  # 3*1 < 5*1: 23 joins the component of 5
+        (8, 12, 24, 25),  # 3*6 > 1*1: the component of 6 joins the giant
+        (8, 22, 27, 28),  # 9*1 > 1*1: 22 joins the giant
+    ]
+    sim = Simulation(ProcessKind.PRODUCT_RULE, 30, initial="8:1,3:1")
+    sim._block = 64
+    sim._buf = np.array(product_rows, dtype=np.int64)
+    states = forest_states(sim, "_find", "_consume_product")
+    sim.advance_to(len(product_rows))
+    assert sim.blocks == 1 and len(states) >= 8  # a lookup in each of three passes or more
+    for before, after in itertools.pairwise(states):
+        check_forest_entries(before, after)
+    (batch, scalar), _ = product_on_rows(product_rows, 30, initial="8:1,3:1")
+    assert batch == scalar
 
 
 def test_find_climbs_a_forest_four_levels_deep():
@@ -798,6 +898,47 @@ def test_stop_restart_keeps_the_whole_chunk_stream(kind, t_end, continue_t):
     assert stop_restart(spec, continue_t) == want
 
 
+def test_stop_restart_queues_no_rows_the_continuation_drops():
+    """A bf stop switches to pairs before the continuation's Poisson count is
+    drawn, so reading `rng` for it queues none of the rest of the bf chunk,
+    which the continuation's pairs would drop unread. From the stop's
+    snapshot to the first continuation piece the run allocates at most one
+    FOLD piece of int32 quadruples above what was live; queueing the rest
+    of the chunk took up to CHUNK rows of them, 2 MiB here. The generator
+    state after the count and the continuation's first rows are those of
+    the scalar reference, which draws the chunk whole as it always did."""
+    seen, states = {}, []
+
+    class Watched(Simulation):
+        def snapshot(self):
+            if tracemalloc.is_tracing():  # the continuation's end
+                seen[self.engine, "peak"] = tracemalloc.get_traced_memory()[1]
+                tracemalloc.stop()
+                seen[self.engine, "rows"] = self._buf[:16].tolist()
+                return super().snapshot()
+            snap = super().snapshot()
+            tracemalloc.start()  # from the stop on
+            return snap
+
+    def count(t, n, rng):
+        extra = poisson_edge_count(t, n, rng)
+        states.append(rng.bit_generator.state)
+        return extra
+
+    spec = RunSpec(ProcessKind.BOUNDED_SIZE, 200_000, seed=3, t_end=1.0)
+    runs = []
+    with mock.patch.object(harness, "poisson_edge_count", count):
+        for engine in processes.ENGINES:
+            with mock.patch.object(harness, "Simulation", partial(Watched, engine=engine)):
+                runs.append(stop_restart(spec, 0.001))
+    assert runs[0] == runs[1]
+    assert len(states) == 2 and states[0] == states[1]
+    assert seen["auto", "rows"] == seen["python", "rows"]
+    assert len(seen["auto", "rows"]) == 16
+    piece = processes.FOLD * 4 * np.dtype(np.int32).itemsize
+    assert seen["auto", "peak"] <= piece + 64 * 1024, seen["auto", "peak"] / MIB
+
+
 @pytest.mark.parametrize("kind", [k.value for k in ALL_KINDS])
 def test_engine_parity_on_a_dense_record_grid(kind):
     """Fifty record points, so every snapshot folds only the edges since the
@@ -844,7 +985,7 @@ def parity_cases(draw):
     schedule = sorted(draw(st.lists(st.integers(0, cap), max_size=4)))
     extra = draw(st.integers(0, n))
     chunk = draw(st.sampled_from([processes.CHUNK, 1, 7, 64]))
-    block = draw(st.sampled_from([processes.PRODUCT_BLOCK, 1, 3, 64]))
+    block = draw(st.sampled_from([None, 1, 3, 64]))
     return dict(kind=kind, n=n, initial=initial, seed=draw(st.integers(0, 2**32)),
                 schedule=schedule, extra=extra), chunk, block
 
@@ -852,11 +993,11 @@ def parity_cases(draw):
 @given(parity_cases())
 def test_engine_parity_property(case):
     """Batch equals scalar for any n, rule, initial graph, record schedule,
-    continuation, chunk length and product block length."""
+    continuation, chunk length and two-choice block length."""
     sched, chunk, block = case
-    with mock.patch.object(processes, "CHUNK", chunk), \
-            mock.patch.object(processes, "PRODUCT_BLOCK", block):
-        assert stream_trace(engine="auto", **sched) == stream_trace(engine="python", **sched)
+    with mock.patch.object(processes, "CHUNK", chunk):
+        assert (stream_trace(engine="auto", block=block, **sched)
+                == stream_trace(engine="python", **sched))
 
 
 @pytest.mark.parametrize("bad", [
@@ -949,13 +1090,13 @@ def memory_states(kind):
 
 @pytest.mark.parametrize("kind", ["bf", "er-wr", "product"])
 def test_batch_forest_holds_one_int64_array_and_a_bitmap(kind):
-    """8n bytes of parents and minus the sizes at the roots, n of the
-    isolation bitmap and 4n more for a two-choice rule's int32 round
-    stamps: 9n for a uniform rule, 13n for bf and product. The few KiB
-    beyond are the generator and the small fields."""
+    """8n bytes of parents and minus the sizes at the roots and n of the
+    isolation bitmap: 9n for every rule, since a two-choice rule keeps
+    its round stamps in the parents' entries. The few KiB beyond are the
+    generator and the small fields."""
     sim, held, _ = traced(lambda: Simulation(ProcessKind.from_token(kind), MEMORY_N, seed=1))
     assert sim._parent.dtype == np.int64
-    want = (8 + 1 + 4 * sim.kind.two_choice) * MEMORY_N
+    want = 9 * MEMORY_N
     assert want <= held <= want + 64 * 1024
 
 
